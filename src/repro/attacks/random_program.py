@@ -11,7 +11,7 @@ into the same experiment harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from repro.core.synthesis.oppsla import OppslaConfig, SynthesisResult
 from repro.core.synthesis.score import (
     ProgramEvaluation,
     TrainingPair,
+    TrainingSet,
     evaluate_program,
+    prepare_training_set,
 )
 from repro.core.synthesis.trace import SynthesisTrace
 
@@ -44,15 +46,13 @@ class RandomProgramSearch:
     def synthesize(
         self,
         classifier: Callable[[np.ndarray], np.ndarray],
-        training_pairs: Sequence[TrainingPair],
+        training_pairs: Union[TrainingSet, Sequence[TrainingPair]],
     ) -> SynthesisResult:
-        training_pairs = list(training_pairs)
-        if not training_pairs:
-            raise ValueError("training set must be non-empty")
+        training_set = prepare_training_set(classifier, training_pairs)
         if self.config.num_samples <= 0:
             raise ValueError("num_samples must be positive")
-        shape = training_pairs[0][0].shape[:2]
-        grammar = Grammar(shape)
+        grammar = Grammar(training_set.shape)
+        usage = training_set.usage()
         rng = np.random.default_rng(self.config.seed)
         trace = SynthesisTrace()
         best_program: Optional[Program] = None
@@ -62,7 +62,7 @@ class RandomProgramSearch:
             evaluation = evaluate_program(
                 program,
                 classifier,
-                training_pairs,
+                training_set,
                 per_image_budget=self.config.per_image_budget,
             )
             trace.total_queries += evaluation.total_queries
@@ -70,6 +70,7 @@ class RandomProgramSearch:
             if best_eval is None or _better(evaluation, best_eval):
                 best_program, best_eval = program, evaluation
                 trace.record_accept(iteration, program, evaluation)
+        forwards, cache_hit_rate = training_set.usage_since(usage)
         return SynthesisResult(
             final_program=best_program,
             final_evaluation=best_eval,
@@ -81,6 +82,8 @@ class RandomProgramSearch:
                 per_image_budget=self.config.per_image_budget,
                 seed=self.config.seed,
             ),
+            forwards=forwards,
+            cache_hit_rate=cache_hit_rate,
         )
 
 

@@ -162,15 +162,19 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         run_log.emit(
             "synthesis_summary",
             total_queries=result.total_queries,
+            forwards=result.forwards,
+            cache_hit_rate=result.cache_hit_rate,
             iterations=result.trace.iterations,
             acceptance_rate=result.trace.acceptance_rate,
             best_successes=result.best_evaluation.successes,
             total_images=result.best_evaluation.total_images,
         )
         run_log.close()
+    forwards = "in workers" if result.forwards is None else result.forwards
     print(format_program(result.program))
     print(
-        f"# synthesis queries: {result.total_queries}, "
+        f"# synthesis queries: {result.total_queries} "
+        f"(forward passes: {forwards}), "
         f"train successes: {result.best_evaluation.successes}"
         f"/{result.best_evaluation.total_images}"
     )

@@ -40,6 +40,22 @@ class PairQueue:
         self._counter = counter
         # the input is already sorted by construction, so the list is a heap
 
+    def copy(self) -> "PairQueue":
+        """An independent queue in the same state, without re-sorting.
+
+        Pops, reorderings and removals on either queue never affect the
+        other; the immutable :class:`Pair` objects are shared.
+        """
+        clone = PairQueue.__new__(PairQueue)
+        clone._stamp = dict(self._stamp)
+        clone._heap = list(self._heap)
+        clone._by_location = {
+            location: set(corners)
+            for location, corners in self._by_location.items()
+        }
+        clone._counter = self._counter
+        return clone
+
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:

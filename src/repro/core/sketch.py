@@ -134,6 +134,7 @@ class OnePixelSketch:
         target_class: Optional[int] = None,
         stats: Optional[SketchStats] = None,
         batch_size: Optional[int] = None,
+        queue: Optional[PairQueue] = None,
     ) -> AttackSteps:
         """The attack as a query-yielding generator (see
         :mod:`repro.core.stepping` for the protocol).
@@ -154,6 +155,11 @@ class OnePixelSketch:
         twice.  Counting happens at consumption via
         :meth:`StepCounter.charge`, making results and per-query
         accounting bit-identical to the scalar path.
+
+        ``queue``, if given, must be ``PairQueue(initial_order(image))``
+        in its initial state; the attack consumes it in place of building
+        that queue, so a caller attacking one image many times passes a
+        fresh :meth:`PairQueue.copy` of one prepared queue per call.
         """
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"image must be (H, W, 3), got {image.shape}")
@@ -165,7 +171,8 @@ class OnePixelSketch:
                 (yield Query(image, counted=False)), dtype=np.float64
             )
         shape = image.shape[:2]
-        queue = PairQueue(initial_order(image))
+        if queue is None:
+            queue = PairQueue(initial_order(image))
         program = self.program
 
         def is_success(winner: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from repro.core.synthesis.mh import MetropolisHastings
 from repro.core.synthesis.score import (
     ProgramEvaluation,
     TrainingPair,
+    TrainingSet,
     evaluate_program,
+    prepare_training_set,
 )
 from repro.core.synthesis.trace import SynthesisTrace
 
@@ -70,6 +72,15 @@ class SynthesisResult:
     the most successes and, among those, the lowest average query count --
     the one a practitioner would deploy.  ``program`` aliases
     ``best_program``.
+
+    ``forwards`` is the number of forward passes this run executed,
+    beside :attr:`total_queries` (the counted queries, which cache hits
+    are too); ``cache_hit_rate`` is the share of the images the run
+    scored that its :class:`~repro.core.synthesis.score.TrainingSet`
+    answered from its cache.  Both cover only the iterations run by this
+    call (a resumed chain restores its queries, not its forwards) and
+    are ``None`` when an executor scored the candidates in worker
+    processes.
     """
 
     final_program: Program
@@ -78,6 +89,8 @@ class SynthesisResult:
     best_evaluation: ProgramEvaluation
     trace: SynthesisTrace
     config: OppslaConfig = field(default_factory=OppslaConfig)
+    forwards: Optional[int] = None
+    cache_hit_rate: Optional[float] = None
 
     @property
     def program(self) -> Program:
@@ -138,7 +151,7 @@ class Oppsla:
     def synthesize(
         self,
         classifier: Callable[[np.ndarray], np.ndarray],
-        training_pairs: Sequence[TrainingPair],
+        training_pairs: Union[TrainingSet, Sequence[TrainingPair]],
         initial: Optional[Program] = None,
         executor=None,
         checkpoint=None,
@@ -148,7 +161,10 @@ class Oppsla:
         """Synthesize an adversarial program for ``classifier``.
 
         ``training_pairs`` are (image, true_class) tuples; images must all
-        share one shape (the grammar is typed by it).
+        share one shape (the grammar is typed by it).  They are prepared
+        once into a :class:`~repro.core.synthesis.score.TrainingSet` that
+        scores every candidate; pass a set already prepared for
+        ``classifier`` to share its cache across runs.
 
         ``executor`` (a :class:`~repro.runtime.pool.WorkerPool`)
         parallelizes each candidate's per-image evaluation across worker
@@ -164,19 +180,14 @@ class Oppsla:
         snapshotted every ``checkpoint_interval`` iterations, and
         ``resume=True`` continues a killed run from its latest snapshot
         with a bit-identical accepted-program sequence (the manifest pins
-        the config, so resuming under different hyper-parameters raises
+        the config and the training set's fingerprint, so resuming under
+        different hyper-parameters or on other images raises
         :class:`~repro.runtime.checkpoint.CheckpointMismatch`).  A
         checkpoint directory holding snapshots is refused without
         ``resume=True`` rather than silently overwritten.
         """
-        training_pairs = list(training_pairs)
-        if not training_pairs:
-            raise ValueError("training set must be non-empty")
-        shape = training_pairs[0][0].shape[:2]
-        for image, _ in training_pairs:
-            if image.shape[:2] != shape:
-                raise ValueError("all training images must share one shape")
-        grammar = Grammar(shape)
+        training_set = prepare_training_set(classifier, training_pairs)
+        grammar = Grammar(training_set.shape)
         rng = np.random.default_rng(self.config.seed)
 
         store = None
@@ -194,7 +205,8 @@ class Oppsla:
                     "per_image_budget": self.config.per_image_budget,
                     "query_budget": self.config.query_budget,
                     "score_failures": self.config.score_failures,
-                    "images": len(training_pairs),
+                    "images": len(training_set.pairs),
+                    "training_set": training_set.fingerprint,
                 }
             )
             if not resume and latest_chain_snapshot(store) is not None:
@@ -204,11 +216,13 @@ class Oppsla:
                     "directory)"
                 )
 
+        usage = training_set.usage()
+
         def evaluate(program: Program) -> ProgramEvaluation:
             return evaluate_program(
                 program,
                 classifier,
-                training_pairs,
+                training_set,
                 per_image_budget=self.config.per_image_budget,
                 executor=executor,
             )
@@ -241,6 +255,9 @@ class Oppsla:
             return (evaluation.successes, -average)
 
         best = max(trace.accepted, key=quality)
+        forwards, cache_hit_rate = (
+            training_set.usage_since(usage) if executor is None else (None, None)
+        )
         return SynthesisResult(
             final_program=state.program,
             final_evaluation=state.evaluation,
@@ -248,4 +265,6 @@ class Oppsla:
             best_evaluation=best.evaluation,
             trace=trace,
             config=self.config,
+            forwards=forwards,
+            cache_hit_rate=cache_hit_rate,
         )

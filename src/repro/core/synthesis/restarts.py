@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from repro.core.synthesis.oppsla import Oppsla, OppslaConfig, SynthesisResult
-from repro.core.synthesis.score import TrainingPair
+from repro.core.synthesis.score import TrainingPair, prepare_training_set
 
 
 @dataclass
@@ -46,7 +46,11 @@ def synthesize_with_restarts(
 
     Chain ``i`` uses seed ``config.seed + i``; "best" means most training
     successes, then the lowest (failure-penalized, if configured) average
-    query count -- the same ordering OPPSLA itself uses.
+    query count -- the same ordering OPPSLA itself uses.  All chains
+    score candidates with one
+    :class:`~repro.core.synthesis.score.TrainingSet`, so a query one
+    chain already posed costs the next no forward pass (it is still
+    counted).
 
     ``checkpoint_dir`` gives each chain its own durable checkpoint under
     ``checkpoint_dir/chain-<i>``.  With ``resume=True`` a killed restart
@@ -58,6 +62,7 @@ def synthesize_with_restarts(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     config = config or OppslaConfig()
+    training_set = prepare_training_set(classifier, training_pairs)
     results: List[SynthesisResult] = []
     for index in range(restarts):
         chain_config = replace(config, seed=config.seed + index)
@@ -69,7 +74,7 @@ def synthesize_with_restarts(
         results.append(
             Oppsla(chain_config).synthesize(
                 classifier,
-                training_pairs,
+                training_set,
                 checkpoint=chain_checkpoint,
                 resume=resume,
                 checkpoint_interval=checkpoint_interval,

@@ -10,14 +10,20 @@ average query count, and maximal (1) at zero queries.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.dsl.ast import Program
+from repro.core.geometry import NUM_CORNERS
+from repro.core.initorder import initial_order
+from repro.core.pairqueue import PairQueue
 from repro.core.sketch import OnePixelSketch, SketchResult
+from repro.core.stepping import drive_steps
 
 TrainingPair = Tuple[np.ndarray, int]
 
@@ -90,27 +96,161 @@ def _aggregate_results(results: Sequence[SketchResult]) -> ProgramEvaluation:
     )
 
 
+class TrainingSet:
+    """A synthesis run's training pairs, prepared once for every candidate.
+
+    Algorithm 2 scores every proposal on the same pairs, so everything a
+    candidate's evaluation needs that does not depend on the program is
+    built once per run and shared:
+
+    - an exact :class:`~repro.runtime.cache.QueryCache` in front of the
+      classifier.  It sits behind the sketch's counting boundary
+      (:class:`~repro.core.stepping.StepCounter` charges every query the
+      sketch poses), so a hit is still a counted query and only the
+      forward pass goes away.  Every image synthesis scores is a
+      training image or one of its ``8 * d1 * d2`` perturbations, so
+      the cache is sized to hold them all and never evicts: the
+      classifier sees each distinct image once per set;
+    - each pair's clean scores, which the sketch would otherwise ask for
+      (uncounted) on every evaluation;
+    - each pair's initial :class:`~repro.core.pairqueue.PairQueue`, of
+      which every evaluation consumes a :meth:`~PairQueue.copy`.
+
+    Clean scores and queues are built on the first in-process
+    evaluation, so a run that scores candidates in worker processes
+    never pays for them.  The classifier must be deterministic, as for
+    :class:`~repro.runtime.cache.CachedClassifier`: every evaluation is
+    then bit-identical to running the sketch from scratch.
+    """
+
+    def __init__(
+        self,
+        classifier: Callable[[np.ndarray], np.ndarray],
+        training_pairs: Sequence[TrainingPair],
+    ):
+        # Imported here: the runtime package imports the attacks, which
+        # import the synthesizers, which import this module.
+        from repro.runtime.cache import CachedClassifier, QueryCache
+
+        pairs = tuple(training_pairs)
+        if not pairs:
+            raise ValueError("training set must be non-empty")
+        shape = pairs[0][0].shape[:2]
+        for image, _ in pairs:
+            if image.shape[:2] != shape:
+                raise ValueError("all training images must share one shape")
+        self.classifier = classifier
+        self.pairs = pairs
+        self.shape = shape
+        self.cache = QueryCache(
+            len(pairs) * (NUM_CORNERS * shape[0] * shape[1] + 1)
+        )
+        self._cached = CachedClassifier(classifier, self.cache)
+        self._prepared: Optional[List[Tuple[np.ndarray, PairQueue]]] = None
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """A digest of every image and label, in order.
+
+        Checkpoint manifests pin it, so a chain never resumes on a
+        different training set of the same size.
+        """
+        from repro.runtime.cache import image_digest
+
+        hasher = hashlib.sha1()
+        for image, label in self.pairs:
+            hasher.update(image_digest(image))
+            hasher.update(int(label).to_bytes(8, "little", signed=True))
+        return hasher.hexdigest()
+
+    def usage(self) -> Tuple[int, int]:
+        """``(cache hits, cache misses)`` so far; a miss is a forward."""
+        return self.cache.hits, self.cache.misses
+
+    def usage_since(self, before: Tuple[int, int]) -> Tuple[int, float]:
+        """``(forwards, cache hit rate)`` since :meth:`usage` read
+        ``before``: one run's share of a set that runs may share."""
+        hits = self.cache.hits - before[0]
+        misses = self.cache.misses - before[1]
+        lookups = hits + misses
+        return misses, hits / lookups if lookups else 0.0
+
+    def _inputs(self) -> List[Tuple[np.ndarray, PairQueue]]:
+        if self._prepared is None:
+            self._prepared = [
+                (
+                    np.asarray(self._cached(image), dtype=np.float64),
+                    PairQueue(initial_order(image)),
+                )
+                for image, _ in self.pairs
+            ]
+        return self._prepared
+
+    def evaluate(
+        self, program: Program, per_image_budget: Optional[int] = None
+    ) -> ProgramEvaluation:
+        """Run ``program`` on every pair; see :func:`evaluate_program`."""
+        sketch = OnePixelSketch(program)
+        results = [
+            drive_steps(
+                sketch.steps(
+                    image,
+                    true_class,
+                    budget=per_image_budget,
+                    clean_scores=clean_scores,
+                    queue=queue.copy(),
+                ),
+                self._cached,
+            )
+            for (image, true_class), (clean_scores, queue) in zip(
+                self.pairs, self._inputs()
+            )
+        ]
+        return _aggregate_results(results)
+
+
+def prepare_training_set(
+    classifier: Callable[[np.ndarray], np.ndarray],
+    training_pairs: Union[TrainingSet, Sequence[TrainingPair]],
+) -> TrainingSet:
+    """``training_pairs`` itself if already prepared, else a new set."""
+    if isinstance(training_pairs, TrainingSet):
+        if training_pairs.classifier is not classifier:
+            raise ValueError(
+                "training set was prepared for a different classifier"
+            )
+        return training_pairs
+    return TrainingSet(classifier, training_pairs)
+
+
 def evaluate_program(
     program: Program,
     classifier: Callable[[np.ndarray], np.ndarray],
-    training_pairs: Sequence[TrainingPair],
+    training_pairs: Union[TrainingSet, Sequence[TrainingPair]],
     per_image_budget: Optional[int] = None,
     executor=None,
 ) -> ProgramEvaluation:
     """Run ``program`` on every training input and aggregate query counts.
 
+    ``training_pairs`` is a :class:`TrainingSet` prepared for
+    ``classifier`` -- what a synthesis run passes for every candidate --
+    or plain ``(image, true_class)`` pairs, which get a set of their own
+    for this one evaluation.  Either way the evaluation is identical to
+    running :meth:`OnePixelSketch.attack` on each pair.
+
     With an ``executor`` (a :class:`~repro.runtime.pool.WorkerPool`) the
-    per-image attacks fan out across worker processes; the sketch is
-    deterministic per image, so the aggregated evaluation is identical
-    to the sequential one.  A per-image task lost to a worker fault is
-    scored as a failure at the per-image budget (0 queries when
-    unbudgeted), mirroring :func:`repro.eval.runner.attack_dataset`.
+    per-image attacks fan out across worker processes on the raw
+    classifier; the sketch is deterministic per image, so the aggregated
+    evaluation is identical to the sequential one.  A per-image task
+    lost to a worker fault is scored as a failure at the per-image
+    budget (0 queries when unbudgeted), mirroring
+    :func:`repro.eval.runner.attack_dataset`.
     """
     if executor is not None:
-        # Imported here so the synthesis core never depends on the
-        # runtime package unless parallel evaluation is requested.
-        from repro.runtime.tasks import PairEvaluationRunner
+        from repro.runtime.tasks import PairEvaluationRunner  # cycle, as above
 
+        if isinstance(training_pairs, TrainingSet):
+            training_pairs = training_pairs.pairs
         runner = PairEvaluationRunner(
             program, classifier, per_image_budget=per_image_budget
         )
@@ -130,13 +270,8 @@ def evaluate_program(
         ]
         return _aggregate_results(results)
 
-    sketch = OnePixelSketch(program)
-    results = []
-    for image, true_class in training_pairs:
-        results.append(
-            sketch.attack(classifier, image, true_class, budget=per_image_budget)
-        )
-    return _aggregate_results(results)
+    training_set = prepare_training_set(classifier, training_pairs)
+    return training_set.evaluate(program, per_image_budget)
 
 
 def score(

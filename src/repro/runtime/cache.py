@@ -29,6 +29,7 @@ parallel, cached runs reproduce the paper's sequential numbers exactly.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import threading
 import time
@@ -63,13 +64,33 @@ def normalized_cache_size(cache_size: Optional[int]) -> Optional[int]:
     return int(cache_size)
 
 
-def image_digest(image: np.ndarray) -> bytes:
-    """A collision-resistant key for an image: shape, dtype and bytes."""
-    array = np.ascontiguousarray(image)
+def _digest_prefix(shape, dtype):
+    """A SHA-1 state that has hashed ``shape`` and ``dtype``."""
     hasher = hashlib.sha1()
-    hasher.update(str(array.shape).encode())
-    hasher.update(str(array.dtype).encode())
-    hasher.update(array.tobytes())
+    hasher.update(str(shape).encode())
+    hasher.update(str(dtype).encode())
+    return hasher
+
+
+#: Memoized prefixes: formatting ``str(dtype)`` cost most of a digest.
+#: Callers copy the returned state and never update it in place.
+_cached_digest_prefix = functools.lru_cache(maxsize=256)(_digest_prefix)
+
+
+def image_digest(image: np.ndarray) -> bytes:
+    """A collision-resistant key for an image: shape, dtype and bytes.
+
+    The digest is SHA-1 over ``str(shape)``, ``str(dtype)`` and the
+    C-ordered bytes; golden traces and shared-cache keys depend on
+    these exact bytes.
+    """
+    array = np.ascontiguousarray(image)
+    if array.dtype.fields is None:
+        hasher = _cached_digest_prefix(array.shape, array.dtype).copy()
+    else:
+        # equal structured dtypes can print differently (aligned or not)
+        hasher = _digest_prefix(array.shape, array.dtype)
+    hasher.update(array)  # the contiguous buffer itself, no tobytes() copy
     return hasher.digest()
 
 

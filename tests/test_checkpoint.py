@@ -419,6 +419,24 @@ class TestSynthesisResume:
         with pytest.raises(CheckpointError, match="resume=True"):
             Oppsla(config).synthesize(classifier, pairs, checkpoint=str(tmp_path))
 
+    def test_other_training_images_are_refused(self, tmp_path, synthesis_setup):
+        """Regression: the manifest pinned only the number of training
+        images, so resuming on four other images returned the first
+        run's chain without error."""
+        classifier, pairs, config = synthesis_setup
+        Oppsla(config).synthesize(classifier, pairs, checkpoint=str(tmp_path))
+        rng = np.random.default_rng(2)
+        others = []
+        for _ in range(len(pairs)):
+            image = rng.uniform(0.0, 1.0, size=(6, 6, 3))
+            others.append((image, int(np.argmax(classifier(image)))))
+        relabelled = [(pairs[0][0], (pairs[0][1] + 1) % 3)] + pairs[1:]
+        for changed in (others, relabelled):
+            with pytest.raises(CheckpointMismatch, match="training_set"):
+                Oppsla(config).synthesize(
+                    classifier, changed, checkpoint=str(tmp_path), resume=True
+                )
+
     def test_config_mismatch_is_refused(self, tmp_path, synthesis_setup):
         classifier, pairs, config = synthesis_setup
         Oppsla(config).synthesize(classifier, pairs, checkpoint=str(tmp_path))

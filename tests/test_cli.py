@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.events import RunLog
 
 TINY = [
     "--image-size", "8",
@@ -89,6 +91,27 @@ class TestCommands:
         assert "best_program" in payload
         output = capsys.readouterr().out
         assert "[B1]" in output
+
+    def test_synthesize_reports_forward_passes(self, cache_dir, tmp_path, capsys):
+        log_path = str(tmp_path / "synth.jsonl")
+        assert main(
+            ["synthesize", *TINY, "--cache-dir", cache_dir,
+             "--iterations", "3", "--train-images", "2",
+             "--per-image-budget", "40", "--run-log", log_path]
+        ) == 0
+        output = capsys.readouterr().out
+        match = re.search(
+            r"# synthesis queries: (\d+) \(forward passes: (\d+)\)", output
+        )
+        assert match, output
+        queries, forwards = map(int, match.groups())
+        (summary,) = [
+            event for event in RunLog.read(log_path)
+            if event["event"] == "synthesis_summary"
+        ]
+        assert summary["total_queries"] == queries
+        assert summary["forwards"] == forwards
+        assert 0.0 <= summary["cache_hit_rate"] <= 1.0
 
     def test_attack_with_synthesized_program(self, cache_dir, tmp_path, capsys):
         out = str(tmp_path / "program.json")

@@ -118,6 +118,30 @@ class TestFirstAtLocation:
         assert queue.corners_at((0, 0)) == {5}
 
 
+class TestCopy:
+    def test_copy_is_independent(self):
+        queue = small_queue()
+        queue.push_back(Pair(0, 0, 0))
+        before = queue.to_list()
+        clone = queue.copy()
+        assert clone.to_list() == before
+        clone.pop()
+        clone.remove(Pair(1, 1, 7))
+        clone.push_back(Pair(1, 0, 2))
+        assert clone.to_list() == [Pair(0, 0, 5), Pair(0, 0, 0), Pair(1, 0, 2)]
+        assert queue.to_list() == before
+        assert queue.corners_at((1, 1)) == {7}
+        assert [queue.pop() for _ in range(len(before))] == before
+
+    def test_copies_pop_like_fresh_queues(self):
+        pairs = list(all_pairs((3, 3)))
+        template = PairQueue(pairs)
+        for _ in range(2):
+            clone = template.copy()
+            assert [clone.pop() for _ in range(len(pairs))] == pairs
+        assert len(template) == len(pairs)
+
+
 class TestModelCheck:
     """Compare the heap implementation against a naive list model."""
 

@@ -1,5 +1,6 @@
 """Tests for the query cache, its threat-model contract, and run logs."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -41,6 +42,38 @@ class TestImageDigest:
         base = np.arange(48, dtype=np.float64).reshape(4, 4, 3)
         view = base[::2]  # non-contiguous stride
         assert image_digest(view) == image_digest(np.ascontiguousarray(view))
+
+    def test_matches_the_original_formula(self):
+        """Golden-trace digests and shared-L2 keys must not move: the
+        memoized prefix and in-place buffer hashing give exactly the
+        bytes of SHA-1 over str(shape), str(dtype) and tobytes()."""
+
+        def reference(image):
+            array = np.ascontiguousarray(image)
+            hasher = hashlib.sha1()
+            hasher.update(str(array.shape).encode())
+            hasher.update(str(array.dtype).encode())
+            hasher.update(array.tobytes())
+            return hasher.digest()
+
+        rng = np.random.default_rng(0)
+        base = rng.random((8, 8, 3))
+        images = [
+            base,
+            rng.random((16, 16, 3)),
+            base.astype(np.float32),
+            base.astype(">f8"),
+            (base * 255).astype(np.uint8),
+            base[::2, 1:],
+            base.transpose(1, 0, 2),
+            np.float64(0.5),
+            np.zeros((0, 3)),
+            np.zeros(3, dtype=[("a", "<f8")]),
+            np.zeros(3, dtype=np.dtype([("a", "<f8")], align=True)),
+        ]
+        for _ in range(2):  # the second pass hits the memoized prefixes
+            for image in images:
+                assert image_digest(image) == reference(image)
 
 
 class TestQueryCache:
