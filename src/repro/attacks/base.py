@@ -19,6 +19,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.stepping import AttackSteps, drive_steps
+
 Classifier = Callable[[np.ndarray], np.ndarray]
 
 
@@ -54,29 +56,21 @@ class AttackResult:
 class OnePixelAttack(abc.ABC):
     """Abstract base for all one-pixel attacks.
 
-    Two complementary entry points share one search implementation:
-
-    - :meth:`attack` -- the classic synchronous call used throughout the
-      evaluation harness;
-    - :meth:`steps` -- the same attack as a *generator* that yields
-      :class:`~repro.core.stepping.Query` objects and receives score
-      vectors, letting an external executor (e.g. the serving layer's
-      micro-batching broker) own the forward passes.
-
-    Attacks with incremental structure implement ``steps`` natively and
-    define ``attack`` as ``drive_steps(self.steps(...), classifier)``;
-    the default ``steps`` here adapts any remaining direct-call
-    ``attack`` via a helper thread, so *every* attack is steppable.
+    Every attack implements :meth:`steps`: the search as a *generator*
+    that yields :class:`~repro.core.stepping.Query` objects and receives
+    score vectors, letting an external executor (e.g. the serving
+    layer's micro-batching broker) own the forward passes.
+    :meth:`attack`, the classic synchronous call used throughout the
+    evaluation harness, drives that generator against a classifier.
     """
 
     #: Default speculation window for batch-native stepping.  ``None``
-    #: (the library default) keeps ``steps()`` on the legacy scalar
-    #: protocol; the serving layer and CLI opt into batching by passing
-    #: ``batch_size=`` explicitly or setting this attribute.  Attacks
-    #: without a native ``steps`` implementation ignore it.
+    #: (the library default) keeps ``steps()`` on the scalar protocol;
+    #: the serving layer and CLI opt into batching by passing
+    #: ``batch_size=`` explicitly or setting this attribute.  Scalar-only
+    #: generators ignore it.
     batch_size: Optional[int] = None
 
-    @abc.abstractmethod
     def attack(
         self,
         classifier: Classifier,
@@ -91,7 +85,12 @@ class OnePixelAttack(abc.ABC):
         misclassification; a concrete target requires the classifier to
         output exactly that class.
         """
+        return drive_steps(
+            self.steps(image, true_class, budget=budget, target_class=target_class),
+            classifier,
+        )
 
+    @abc.abstractmethod
     def steps(
         self,
         image: np.ndarray,
@@ -99,27 +98,25 @@ class OnePixelAttack(abc.ABC):
         budget: Optional[int] = None,
         target_class: Optional[int] = None,
         batch_size: Optional[int] = None,
-    ):
+    ) -> AttackSteps:
         """The attack as a query-yielding generator.
 
         Yields :class:`~repro.core.stepping.Query`, expects the score
         vector via ``send``, and returns the :class:`AttackResult` as
-        the generator's return value.  Driven generators are
-        bit-identical to :meth:`attack` against the same classifier.
+        the generator's return value.  Query counting and the budget
+        live inside the generator (a
+        :class:`~repro.core.stepping.StepCounter`), and
+        :class:`~repro.classifier.blackbox.QueryBudgetExceeded` thrown
+        into a pending yield ends the run with the same degraded result
+        a budget running dry at that point would.
 
-        ``batch_size`` opts into batch-native stepping for attacks with
-        a native generator: ``None`` defers to :attr:`batch_size` on the
-        instance, ``0`` forces the scalar protocol, ``N > 0`` allows
-        speculative :class:`~repro.core.stepping.QueryBatch` yields of
-        up to ``N`` queries.  The threaded fallback here is inherently
-        scalar (one classifier call per yield), so it accepts and
-        ignores the argument.
+        ``batch_size`` opts into batch-native stepping: ``None`` defers
+        to :attr:`batch_size` on the instance, ``0`` forces the scalar
+        protocol, ``N > 0`` allows speculative
+        :class:`~repro.core.stepping.QueryBatch` yields of up to ``N``
+        queries.  Attacks with nothing to speculate on accept and ignore
+        it.
         """
-        from repro.core.stepping import threaded_steps
-
-        return threaded_steps(
-            self, image, true_class, budget=budget, target_class=target_class
-        )
 
     @property
     def name(self) -> str:

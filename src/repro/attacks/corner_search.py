@@ -24,10 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackResult, Classifier, OnePixelAttack
+from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.attacks.sparse_rs import margin
-from repro.classifier.blackbox import CountingClassifier, QueryBudgetExceeded
+from repro.classifier.blackbox import QueryBudgetExceeded
 from repro.core.geometry import NUM_CORNERS, RGB_CORNERS
+from repro.core.stepping import AttackSteps, StepCounter
 
 
 @dataclass(frozen=True)
@@ -52,28 +53,30 @@ class CornerSearch(OnePixelAttack):
     def name(self) -> str:
         return "CornerSearch"
 
-    def attack(
+    def steps(
         self,
-        classifier: Classifier,
         image: np.ndarray,
         true_class: int,
         budget: Optional[int] = None,
         target_class: Optional[int] = None,
-    ) -> AttackResult:
+        batch_size: Optional[int] = None,
+    ) -> AttackSteps:
+        """Probe, rank, exploit as a scalar generator (``batch_size`` is
+        accepted and ignored)."""
         self._validate(image)
         rng = np.random.default_rng(self.config.seed)
-        counting = CountingClassifier(classifier, budget=budget)
+        counter = StepCounter(budget)
         d1, d2 = image.shape[:2]
 
         def query(row: int, col: int, corner: int):
             perturbed = image.copy()
             perturbed[row, col] = RGB_CORNERS[corner]
-            scores = counting(perturbed)
+            scores = yield counter.submit(perturbed)
             loss = margin(scores, true_class, target_class)
             if loss < 0:
                 return loss, AttackResult(
                     success=True,
-                    queries=counting.count,
+                    queries=counter.count,
                     location=(row, col),
                     perturbation=RGB_CORNERS[corner],
                     adversarial_class=int(np.argmax(scores)),
@@ -91,7 +94,7 @@ class CornerSearch(OnePixelAttack):
             for flat in probe_locations:
                 row, col = int(flat // d2), int(flat % d2)
                 corner = int(rng.integers(0, NUM_CORNERS))
-                loss, result = query(row, col, corner)
+                loss, result = yield from query(row, col, corner)
                 if result is not None:
                     return result
                 location_loss[flat] = loss
@@ -112,9 +115,9 @@ class CornerSearch(OnePixelAttack):
                 for corner in range(NUM_CORNERS):
                     if corner == skip:
                         continue
-                    _, result = query(row, col, corner)
+                    _, result = yield from query(row, col, corner)
                     if result is not None:
                         return result
         except QueryBudgetExceeded:
             pass
-        return AttackResult(success=False, queries=counting.count)
+        return AttackResult(success=False, queries=counter.count)

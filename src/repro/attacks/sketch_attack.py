@@ -6,10 +6,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackResult, Classifier, OnePixelAttack
+from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.core.dsl.ast import Program
 from repro.core.sketch import OnePixelSketch
-from repro.core.stepping import AttackSteps, drive_steps
+from repro.core.stepping import AttackSteps
 
 
 class SketchAttack(OnePixelAttack):
@@ -23,19 +23,6 @@ class SketchAttack(OnePixelAttack):
     @property
     def name(self) -> str:
         return self._label
-
-    def attack(
-        self,
-        classifier: Classifier,
-        image: np.ndarray,
-        true_class: int,
-        budget: Optional[int] = None,
-        target_class: Optional[int] = None,
-    ) -> AttackResult:
-        return drive_steps(
-            self.steps(image, true_class, budget=budget, target_class=target_class),
-            classifier,
-        )
 
     def steps(
         self,

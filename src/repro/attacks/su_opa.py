@@ -20,13 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.base import AttackResult, Classifier, OnePixelAttack
+from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.core.stepping import (
     AttackSteps,
     Query,
     QueryBatch,
     StepCounter,
-    drive_steps,
     resolve_batch_window,
 )
 from repro.classifier.blackbox import QueryBudgetExceeded
@@ -59,19 +58,6 @@ class SuOPA(OnePixelAttack):
     @property
     def name(self) -> str:
         return "SuOPA"
-
-    def attack(
-        self,
-        classifier: Classifier,
-        image: np.ndarray,
-        true_class: int,
-        budget: Optional[int] = None,
-        target_class: Optional[int] = None,
-    ) -> AttackResult:
-        return drive_steps(
-            self.steps(image, true_class, budget=budget, target_class=target_class),
-            classifier,
-        )
 
     def steps(
         self,

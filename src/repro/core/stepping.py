@@ -10,18 +10,15 @@ classifier queries are executed.  The protocol is small:
 - the generator **returns** the final result (``StopIteration.value``).
 
 Budget enforcement and query counting live *inside* the generator (via
-:class:`StepCounter`), exactly where :class:`~repro.classifier.blackbox.
-CountingClassifier` sat in the direct-call formulation, so a driven
-generator is bit-identical to the classic ``attack()`` call -- the only
-thing that moved is who performs the forward pass.  That inversion is
-what lets the serving layer coalesce queries from many concurrent
-sessions into batched model evaluations (:mod:`repro.serve.broker`).
+:class:`StepCounter`, with :class:`~repro.classifier.blackbox.
+CountingClassifier`'s count-before-execute semantics), so who performs
+the forward pass never changes what is counted.  That inversion is what
+lets the serving layer coalesce queries from many concurrent sessions
+into batched model evaluations (:mod:`repro.serve.broker`).
 
-Attacks with a natural incremental structure override
-:meth:`~repro.attacks.base.OnePixelAttack.steps` with a native generator;
-the base class falls back to :func:`threaded_steps`, which adapts any
-``attack()`` implementation by running it on a helper thread and turning
-its classifier calls into yields.
+Every attack implements
+:meth:`~repro.attacks.base.OnePixelAttack.steps` as a generator; the
+classic ``attack()`` call is :func:`drive_steps` over it.
 
 Generators may also yield a :class:`QueryBatch` -- several queries
 answered by one vectorized forward pass.  Batches are *speculative*:
@@ -35,20 +32,18 @@ scalar path by construction (see DESIGN §14).
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.classifier.blackbox import QueryBudgetExceeded, batch_scores
+from repro.classifier.blackbox import (
+    QueryBudgetExceeded,
+    _validated_budget,
+    batch_scores,
+)
 
 Classifier = Callable[[np.ndarray], np.ndarray]
-
-#: Seconds to wait for the helper thread of :func:`threaded_steps` to
-#: acknowledge a close before it is abandoned (it is a daemon thread).
-_CLOSE_JOIN_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
@@ -118,39 +113,13 @@ StepRequest = Union[Query, QueryBatch]
 AttackSteps = Generator[StepRequest, np.ndarray, object]
 
 
-#: Process-wide escape hatch (``--scalar-steps``): when set, every
-#: generator resolves its batch window to zero and the legacy
-#: one-query-at-a-time protocol is emitted verbatim.
-_SCALAR_OVERRIDE = False
-
-
-def set_scalar_steps(enabled: bool) -> bool:
-    """Force the legacy scalar stepping path process-wide.
-
-    Returns the previous setting so callers (tests, embedders) can
-    restore it.  This backs the ``--scalar-steps`` flag on the serve,
-    cluster, and attack CLIs.
-    """
-    global _SCALAR_OVERRIDE
-    previous = _SCALAR_OVERRIDE
-    _SCALAR_OVERRIDE = bool(enabled)
-    return previous
-
-
-def scalar_steps_forced() -> bool:
-    """Whether ``--scalar-steps`` is in effect for this process."""
-    return _SCALAR_OVERRIDE
-
-
 def resolve_batch_window(batch_size: Optional[int]) -> int:
     """Normalize a ``batch_size`` request into an effective window.
 
-    ``None`` or ``0`` means scalar; the process-wide
-    :func:`set_scalar_steps` override forces scalar regardless.  A
-    window of 1 is legal (batches of one query) but pointless, so
-    callers normally pass 0 instead.
+    ``None`` or ``0`` means scalar.  A window of 1 is legal (batches of
+    one query) but pointless, so callers normally pass 0 instead.
     """
-    if _SCALAR_OVERRIDE or batch_size is None:
+    if batch_size is None:
         return 0
     window = int(batch_size)
     if window < 0:
@@ -170,6 +139,9 @@ class StepCounter:
 
     budget: Optional[int] = None
     count: int = field(default=0)
+
+    def __post_init__(self):
+        self.budget = _validated_budget(self.budget)
 
     def submit(self, image: np.ndarray) -> Query:
         """Account for one counted submission and build its query.
@@ -208,9 +180,9 @@ class StepCounter:
 def drive_steps(steps: AttackSteps, classifier: Classifier, observer=None):
     """Run a steppable attack to completion against a plain classifier.
 
-    This is the thin synchronous driver ``attack()`` methods delegate to:
-    every yielded query is answered immediately by ``classifier``, so
-    behaviour is exactly the pre-protocol direct-call code path.
+    This is the synchronous driver behind
+    :meth:`~repro.attacks.base.OnePixelAttack.attack`: every yielded
+    query is answered immediately by ``classifier``.
 
     ``observer``, if given, is called as ``observer(query, scores)``
     after each submission is answered and before the generator resumes.
@@ -242,80 +214,3 @@ def drive_steps(steps: AttackSteps, classifier: Classifier, observer=None):
             request = steps.send(scores)
     except StopIteration as stop:
         return stop.value
-
-
-class _SessionClosed(BaseException):
-    """Raised inside the helper thread when the generator is closed.
-
-    Derives from ``BaseException`` so attack code catching ``Exception``
-    (or :class:`QueryBudgetExceeded`) cannot swallow the shutdown.
-    """
-
-
-def threaded_steps(
-    attack,
-    image: np.ndarray,
-    true_class: int,
-    budget: Optional[int] = None,
-    target_class: Optional[int] = None,
-) -> AttackSteps:
-    """Adapt a classic ``attack()`` implementation to the steps protocol.
-
-    The attack runs on a daemon helper thread against a channel-backed
-    classifier: each classifier call is forwarded to the consuming side
-    as a yielded :class:`Query` and blocks until the answer is sent back.
-    Query counting stays wherever the attack put it (its own
-    ``CountingClassifier``), so results are bit-identical to a direct
-    call; the adapter never counts anything itself.
-
-    Closing the generator early injects :class:`_SessionClosed` into the
-    pending classifier call so the helper thread unwinds promptly.
-    """
-    requests: "queue.SimpleQueue" = queue.SimpleQueue()
-    responses: "queue.SimpleQueue" = queue.SimpleQueue()
-
-    def channel_classifier(img: np.ndarray) -> np.ndarray:
-        requests.put(("query", img))
-        kind, value = responses.get()
-        if kind == "close":
-            raise _SessionClosed()
-        return value
-
-    def run() -> None:
-        try:
-            result = attack.attack(
-                channel_classifier,
-                image,
-                true_class,
-                budget=budget,
-                target_class=target_class,
-            )
-        except _SessionClosed:
-            requests.put(("closed", None))
-        except BaseException as exc:  # surface errors on the driving side
-            requests.put(("error", exc))
-        else:
-            requests.put(("done", result))
-
-    thread = threading.Thread(
-        target=run, name=f"steps:{attack.name}", daemon=True
-    )
-    thread.start()
-    awaiting_response = False
-    try:
-        while True:
-            kind, value = requests.get()
-            if kind == "done":
-                return value
-            if kind == "error":
-                raise value
-            if kind == "closed":  # pragma: no cover - close() races only
-                return None
-            awaiting_response = True
-            scores = yield Query(value)
-            awaiting_response = False
-            responses.put(("scores", scores))
-    finally:
-        if awaiting_response:
-            responses.put(("close", None))
-            thread.join(_CLOSE_JOIN_TIMEOUT)

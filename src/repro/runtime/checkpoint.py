@@ -33,7 +33,6 @@ consumers.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 from typing import Dict, List, Optional, Tuple, Union
@@ -351,13 +350,6 @@ def restore_rng_state(rng: np.random.Generator, state: Dict) -> None:
             f"but the resuming run uses {expected}"
         )
     rng.bit_generator.state = state
-
-
-def json_finite(value: float) -> Optional[float]:
-    """Encode ``inf`` as ``None`` for strict-JSON consumers."""
-    if value is None or math.isinf(value):
-        return None
-    return value
 
 
 # ----------------------------------------------------------------------

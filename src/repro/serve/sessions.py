@@ -268,15 +268,13 @@ class AttackSession:
         :class:`~repro.classifier.blackbox.QueryBudgetExceeded` into its
         suspended yield -- the *same* exception, at the same program
         point, that a :class:`~repro.core.stepping.StepCounter` raises
-        when a budget runs dry.  Every native attack generator converts
-        that unwind into its degraded result with ``queries`` taken from
-        its own internal counter, so a session cancelled or expired
-        after ``k`` charged queries reports exactly ``k`` and carries a
-        result bit-identical to a budget-``k`` scalar run that never
-        succeeded (the fidelity invariant; differentially verified by
-        :mod:`repro.testkit.lifecycle`).  A generator that does not
-        catch the unwind (the threaded fallback) simply terminates with
-        no result; :attr:`queries` still holds the boundary count.
+        when a budget runs dry.  Every attack generator converts that
+        unwind into its degraded result with ``queries`` taken from its
+        own internal counter, so a session cancelled or expired after
+        ``k`` charged queries reports exactly ``k`` and carries a result
+        bit-identical to a budget-``k`` scalar run that never succeeded
+        (the fidelity invariant; differentially verified by
+        :mod:`repro.testkit.lifecycle`).
         """
         if self.state not in (QUEUED, RUNNING):
             return

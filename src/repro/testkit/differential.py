@@ -5,8 +5,6 @@ The repo runs every attack through several supposedly equivalent paths:
 - ``direct``  -- the classic ``attack(classifier, ...)`` call;
 - ``stepped`` -- the generator protocol driven by
   :func:`~repro.core.stepping.drive_steps`;
-- ``threaded`` -- the :func:`~repro.core.stepping.threaded_steps`
-  adapter (attack on a helper thread, queries forwarded);
 - ``pooled``  -- the :class:`~repro.runtime.pool.WorkerPool` engine via
   :class:`~repro.runtime.tasks.AttackTaskRunner`;
 - ``served``  -- an :class:`~repro.serve.sessions.AttackSession` over a
@@ -30,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import AttackResult
-from repro.core.stepping import drive_steps, threaded_steps
+from repro.core.stepping import drive_steps
 from repro.runtime.cache import CachedClassifier, QueryCache
 from repro.runtime.pool import WorkerPool
 from repro.runtime.tasks import AttackTaskRunner
@@ -41,10 +39,9 @@ from repro.testkit.trace import TraceEvent, TraceRecorder, diff_events
 #: All execution paths the oracle knows how to drive.
 PATH_DIRECT = "direct"
 PATH_STEPPED = "stepped"
-PATH_THREADED = "threaded"
 PATH_POOLED = "pooled"
 PATH_SERVED = "served"
-DEFAULT_PATHS = (PATH_DIRECT, PATH_STEPPED, PATH_THREADED, PATH_POOLED, PATH_SERVED)
+DEFAULT_PATHS = (PATH_DIRECT, PATH_STEPPED, PATH_POOLED, PATH_SERVED)
 
 #: Default in-cell query cache size (big enough never to evict in tests,
 #: so cached cells exercise hits rather than churn).
@@ -176,7 +173,7 @@ class DifferentialRunner:
     budget:
         Query budget applied in every cell.
     paths / cache_modes:
-        The grid axes; defaults cover all five paths, cache off and on.
+        The grid axes; defaults cover all four paths, cache off and on.
     pool_workers:
         Worker processes for the ``pooled`` path.  The default ``0``
         runs the engine inline (same code path minus process transport)
@@ -239,7 +236,7 @@ class DifferentialRunner:
         if cell.path == PATH_SERVED:
             return self._run_served(cell, attack, classifier, image, true_class)
 
-        if cell.cached and cell.path in (PATH_DIRECT, PATH_STEPPED, PATH_THREADED):
+        if cell.cached and cell.path in (PATH_DIRECT, PATH_STEPPED):
             # inside the attack's counting boundary, like the engine does
             classifier = CachedClassifier(classifier, maxsize=self.cache_size)
 
@@ -249,12 +246,6 @@ class DifferentialRunner:
         elif cell.path == PATH_STEPPED:
             result = drive_steps(
                 attack.steps(image, true_class, budget=self.budget),
-                classifier,
-                observer=recorder,
-            )
-        elif cell.path == PATH_THREADED:
-            result = drive_steps(
-                threaded_steps(attack, image, true_class, budget=self.budget),
                 classifier,
                 observer=recorder,
             )
@@ -337,12 +328,15 @@ class DifferentialRunner:
         return report
 
 
-def _alternating_attack_factory():
-    """``seed -> attack``: the sketch attack on even seeds, the seeded
-    uniform-random baseline on odd ones, so sweeps cover both a
-    score-driven and an RNG-driven query stream."""
+def _rotating_attack_factory():
+    """``seed -> attack``: rotates by ``seed % 4`` over the sketch attack,
+    the uniform-random baseline, CornerSearch and Sparse-RS (the last
+    three seeded with ``seed``), so sweeps cover every attack generator,
+    score-driven and RNG-driven, speculating and scalar-only."""
+    from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
     from repro.attacks.random_search import UniformRandomAttack, UniformRandomConfig
     from repro.attacks.sketch_attack import SketchAttack
+    from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
     from repro.core.dsl.parser import parse_program
 
     program = parse_program(
@@ -355,9 +349,14 @@ def _alternating_attack_factory():
     )
 
     def attack_factory(seed: int):
-        if seed % 2 == 0:
+        kind = seed % 4
+        if kind == 0:
             return SketchAttack(program)
-        return UniformRandomAttack(UniformRandomConfig(seed=seed))
+        if kind == 1:
+            return UniformRandomAttack(UniformRandomConfig(seed=seed))
+        if kind == 2:
+            return CornerSearch(CornerSearchConfig(seed=seed))
+        return SparseRS(SparseRSConfig(seed=seed))
 
     return attack_factory
 
@@ -371,15 +370,15 @@ def toy_runner(
 ) -> DifferentialRunner:
     """The standard toy-classifier sweep used by CI and the nightly job.
 
-    Alternates the paper's sketch attack (even seeds) with the seeded
-    uniform-random baseline (odd seeds), over smooth toy images on a
-    fragile linear classifier, so the sweep covers both a deterministic
-    and an RNG-driven query stream.  Any keyword argument of
-    :class:`DifferentialRunner` can be overridden.
+    Rotates over the paper's sketch attack, the uniform-random baseline,
+    CornerSearch and Sparse-RS by seed, over smooth toy images on a
+    fragile linear classifier, so the sweep covers every attack
+    generator.  Any keyword argument of :class:`DifferentialRunner` can
+    be overridden.
     """
     from repro.classifier.toy import LinearPixelClassifier, make_toy_images
 
-    attack_factory = _alternating_attack_factory()
+    attack_factory = _rotating_attack_factory()
 
     def classifier_factory(seed: int):
         return LinearPixelClassifier(
@@ -474,7 +473,7 @@ def network_runner(
     """
     from repro.classifier.toy import make_toy_images
 
-    attack_factory = _alternating_attack_factory()
+    attack_factory = _rotating_attack_factory()
 
     def classifier_factory(seed: int):
         return tiny_network_classifier(

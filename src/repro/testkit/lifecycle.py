@@ -40,7 +40,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import AttackResult
 from repro.core.stepping import QueryBatch
 from repro.runtime.cache import QueryCache
 from repro.serve.broker import BrokerStopped, MicroBatchBroker
@@ -327,6 +326,7 @@ class LifecycleEquivalenceRunner:
 def toy_lifecycle_runner(
     seeds: Iterable[int] = (1, 8, 20, 26),
     budget: int = 100000,
+    attack_factory: Optional[Callable[[int], object]] = None,
     **kwargs,
 ) -> LifecycleEquivalenceRunner:
     """The standard lifecycle sweep used by CI and the nightly.
@@ -337,6 +337,11 @@ def toy_lifecycle_runner(
     park boundary is reachable and never racing a success at exactly
     ``k`` (the one inherently ambiguous boundary, documented in
     :meth:`~repro.serve.sessions.AttackSession.park`).
+
+    ``attack_factory`` (``seed -> attack``) defaults to the fixed
+    sketch.  Any attack that only writes RGB corners -- Sparse-RS,
+    CornerSearch -- keeps that guarantee, since these images resist all
+    288 corner pairs.
     """
     from repro.attacks.fixed_sketch import FixedSketchAttack
     from repro.classifier.toy import SmoothLinearClassifier
@@ -350,7 +355,7 @@ def toy_lifecycle_runner(
         return np.random.default_rng(seed).random((6, 6, 3))
 
     return LifecycleEquivalenceRunner(
-        lambda seed: FixedSketchAttack(),
+        attack_factory or (lambda seed: FixedSketchAttack()),
         classifier_factory,
         case_factory,
         seeds=seeds,

@@ -413,8 +413,9 @@ def diff_events(
     """The first query event where two traces diverge, or ``None``.
 
     Compares image digests and scores (the cross-path invariants;
-    ``counted`` flags legitimately differ between native and
-    thread-adapted generators, so they are reported but not compared).
+    ``counted`` flags legitimately differ between a steps-level
+    observer and a classifier-level hook, which records every query as
+    counted, so they are reported but not compared).
     """
     for position, (a, b) in enumerate(zip(baseline, other)):
         if a.digest != b.digest or a.scores != b.scores:

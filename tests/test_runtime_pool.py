@@ -15,6 +15,7 @@ from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.classifier.toy import LinearPixelClassifier, make_toy_images
 from repro.core.dsl.printer import format_program
+from repro.core.stepping import Query
 from repro.core.synthesis.oppsla import Oppsla, OppslaConfig
 from repro.core.synthesis.score import evaluate_program
 from repro.core.dsl.grammar import Grammar
@@ -73,10 +74,12 @@ class _HangingAttack(OnePixelAttack):
     def __init__(self, hang_class):
         self.hang_class = hang_class
 
-    def attack(self, classifier, image, true_class, budget=None, target_class=None):
+    def steps(
+        self, image, true_class, budget=None, target_class=None, batch_size=None
+    ):
         if true_class == self.hang_class:
             time.sleep(60)
-        classifier(image)
+        yield Query(image)
         return AttackResult(success=False, queries=1)
 
 

@@ -428,6 +428,32 @@ class TestServerLifecycle:
         finally:
             server.stop()
 
+    def test_deleted_sparse_rs_session_carries_its_result(self):
+        """A cancelled Sparse-RS session reports its budget-k result, with
+        ``result.queries`` equal to the session's charged count."""
+        server = self._server(latency=0.002)
+        try:
+            status, accepted = server.handle_submit(
+                self._submit_body(server, attack="sparse-rs"), client="t"
+            )
+            assert status == 202
+            session = server.sessions.get(accepted["id"])
+            deadline = time.monotonic() + 30
+            while session.queries < 3 and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert server.handle_cancel(accepted["id"])[0] == 202
+            deadline = time.monotonic() + 30
+            while session.state != CANCELLED and time.monotonic() < deadline:
+                time.sleep(0.002)
+            status, payload = server.handle_get_session(accepted["id"])
+            assert status == 200 and payload["state"] == CANCELLED
+            result = payload.get("result")
+            assert result is not None, payload
+            assert result["success"] is False
+            assert result["queries"] == payload["queries"] >= 3
+        finally:
+            server.stop()
+
     def test_deadline_over_max_is_400_and_default_applies(self):
         server = self._server(default_deadline=15.0, max_deadline=20.0)
         try:

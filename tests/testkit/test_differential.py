@@ -64,7 +64,7 @@ class TestRunnerValidation:
 
 class TestAcceptanceSweep:
     def test_full_sweep_is_divergence_free(self):
-        """The acceptance criterion: >=20 seeds x all 5 paths x cache
+        """The acceptance criterion: >=20 seeds x all 4 paths x cache
         on/off, zero divergences, bit-identical results everywhere."""
         runner = toy_runner(seeds=range(20))
         report = runner.run()
@@ -101,7 +101,7 @@ class TestNetworkSweep:
 
     @pytest.mark.slow
     def test_frozen_acceptance_sweep(self):
-        """Nightly-scale frozen sweep: 20 seeds x 5 paths x cache on/off,
+        """Nightly-scale frozen sweep: 20 seeds x 4 paths x cache on/off,
         all bit-identical to each other under the fast path."""
         report = network_runner(seeds=range(20), frozen=True).run()
         assert report.ok, report.describe()

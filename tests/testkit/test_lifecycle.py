@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
+from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.testkit.lifecycle import (
     FlightDroppingBroker,
     LifecycleCell,
@@ -18,6 +20,22 @@ class TestSweep:
         # 1 seed x {direct, broker} x {scalar, batched} x {cancel, expire}
         assert report.cells_run == 8
         assert "zero divergences" in report.describe()
+
+    @pytest.mark.parametrize(
+        "attack_factory",
+        [
+            lambda seed: SparseRS(SparseRSConfig(seed=seed)),
+            lambda seed: CornerSearch(CornerSearchConfig(seed=seed)),
+        ],
+        ids=["sparse-rs", "corner-search"],
+    )
+    def test_scalar_only_attacks_park_to_budget_k(self, attack_factory):
+        """A cancelled or expired Sparse-RS / CornerSearch session carries
+        the budget-k result, not an empty one."""
+        report = toy_lifecycle_runner(attack_factory=attack_factory).run()
+        assert report.ok, report.describe()
+        # 4 seeds x {direct, broker} x {scalar, batched} x {cancel, expire}
+        assert report.cells_run == 32
 
     def test_parked_cell_matches_budget_k_exactly(self):
         runner = toy_lifecycle_runner(seeds=(8,))
