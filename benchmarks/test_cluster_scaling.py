@@ -29,7 +29,8 @@ import time
 from conftest import write_bench_result, write_result
 from repro.cluster.config import ClusterConfig
 from repro.cluster.router import ClusterHandle
-from repro.cluster.workers import http_json
+from repro.runtime.http import http_json
+from repro.serve.server import ServeConfig
 from repro.testkit.kill import HARD_IMAGE_SEEDS, hard_cluster_spec
 
 SESSIONS = 16
@@ -38,13 +39,12 @@ HARD_QUERIES = 288
 
 
 def _tier(workers):
-    return ClusterConfig(
-        workers=workers, port=0,
+    return ClusterConfig(workers=workers, port=0, serve=ServeConfig(
         height=6, width=6, num_classes=3, seed=1,
         latency=LATENCY, cache_size=0,  # cache off: work must not collapse
-        max_sessions=SESSIONS + 4, max_threads=SESSIONS + 4,
+        max_sessions=SESSIONS + 4, max_workers=SESSIONS + 4,
         rate=1000.0, burst=float(SESSIONS + 4),
-    )
+    ))
 
 
 def _run_tier(workers):

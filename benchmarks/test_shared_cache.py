@@ -25,7 +25,8 @@ import time
 from conftest import write_bench_result, write_result
 from repro.cluster.config import ClusterConfig
 from repro.cluster.router import ClusterHandle
-from repro.cluster.workers import http_json
+from repro.runtime.http import http_json
+from repro.serve.server import ServeConfig
 from repro.testkit.kill import hard_cluster_spec
 
 LATENCY = 0.002  # seconds of simulated replica time per model forward
@@ -35,10 +36,10 @@ TIMEOUT = 300.0
 
 def _tier(shared):
     return ClusterConfig(
-        workers=2, port=0,
-        height=6, width=6, num_classes=3, seed=1,
-        latency=LATENCY, shared_cache=shared,
-        heartbeat=0.2, backoff=0.2,
+        workers=2, port=0, shared_cache=shared, heartbeat=0.2, backoff=0.2,
+        serve=ServeConfig(
+            height=6, width=6, num_classes=3, seed=1, latency=LATENCY
+        ),
     )
 
 

@@ -10,37 +10,35 @@ aggregates per-worker metrics into a cluster-wide ``/metrics`` plane.
 
 Entry points: ``repro cluster --workers N`` and
 ``repro-serve --cluster N``; in-process, use :class:`ClusterHandle`.
+
+The exports below resolve on first use, so
+``python -m repro.cluster.cacheservice`` (which boots before any worker)
+never imports the router or the serve stack.
 """
 
-from repro.cluster.config import ClusterConfig, worker_argv
-from repro.cluster.hashing import HashRing
-from repro.cluster.metrics import (
-    aggregate_worker_metrics,
-    merge_cache_stats,
-    merge_histograms,
-)
-from repro.cluster.router import (
-    ClusterHandle,
-    ClusterRouter,
-    ClusterSupervisor,
-    open_sessions_from_records,
-    run_cluster,
-)
-from repro.cluster.workers import WorkerProcess, free_port, http_json
+import importlib
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterHandle",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "HashRing",
-    "WorkerProcess",
-    "aggregate_worker_metrics",
-    "free_port",
-    "http_json",
-    "merge_cache_stats",
-    "merge_histograms",
-    "open_sessions_from_records",
-    "run_cluster",
-    "worker_argv",
-]
+_EXPORTS = {
+    "ClusterConfig": "repro.cluster.config",
+    "worker_argv": "repro.cluster.config",
+    "HashRing": "repro.cluster.hashing",
+    "aggregate_worker_metrics": "repro.cluster.metrics",
+    "merge_cache_stats": "repro.cluster.metrics",
+    "merge_histograms": "repro.cluster.metrics",
+    "ClusterHandle": "repro.cluster.router",
+    "ClusterRouter": "repro.cluster.router",
+    "ClusterSupervisor": "repro.cluster.router",
+    "open_sessions_from_records": "repro.cluster.router",
+    "run_cluster": "repro.cluster.router",
+    "WorkerProcess": "repro.cluster.workers",
+    "free_port": "repro.cluster.workers",
+    "http_json": "repro.runtime.http",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

@@ -27,17 +27,18 @@ Protocol (JSON over HTTP, digests as hex, scores via
     GET  /metrics                              -> store + traffic stats
 
 Both data endpoints are batched: one round trip serves a whole
-evaluation's misses (lookup) or a whole model batch (store).
+evaluation's misses (lookup) or a whole model batch (store).  The
+routes run on the shared front end (:mod:`repro.runtime.http`), so
+bodies over its ``MAX_BODY_BYTES`` cap get 413 like every other service.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
-import signal
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.runtime.cache import (
     encode_scores,
     normalized_cache_size,
 )
+from repro.runtime.http import FrontEndHandle, http_json, serve_until_signalled
 
 DEFAULT_CACHE_PORT = 8890
 DEFAULT_SHARED_SIZE = 65536
@@ -62,7 +64,7 @@ def parse_cache_address(value: str) -> Tuple[str, int]:
 
 
 class SharedCacheService:
-    """The store plus its HTTP plumbing, embeddable or standalone.
+    """The store plus its HTTP routes, embeddable or standalone.
 
     Reuses :class:`~repro.runtime.cache.QueryCache` as the bounded LRU
     (same eviction, same thread safety, same stats shape), and counts
@@ -104,84 +106,45 @@ class SharedCacheService:
             snapshot["store_calls"] = self.stores
         return snapshot
 
+    def route(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Dict]:
+        """The service's HTTP surface, for the shared front end.
 
-class _CacheHandler(BaseHTTPRequestHandler):
-    service: SharedCacheService  # injected per server instance
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # supervised child; stdout noise helps nobody
-
-    def _reply(self, status: int, payload: Dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        if length == 0:
-            return {}
-        return json.loads(self.rfile.read(length))
-
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        if self.path == "/healthz":
-            self._reply(200, {"status": "ok", "role": "shared-cache"})
-        elif self.path == "/metrics":
-            self._reply(200, {"shared_cache": self.service.stats()})
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
-
-    def do_POST(self):  # noqa: N802 - stdlib naming
-        try:
-            body = self._read_body()
-            if self.path == "/cache/lookup":
-                hits = self.service.lookup(body.get("keys", []))
-                self._reply(200, {"hits": hits})
-            elif self.path == "/cache/store":
-                stored = self.service.put(body.get("entries", {}))
-                self._reply(200, {"stored": stored})
-            else:
-                self._reply(404, {"error": f"unknown path {self.path}"})
-        except (ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": str(error)})
+        Runs inline on the event loop: every operation is a bounded
+        in-memory LRU access.
+        """
+        if method == "GET" and path == "/healthz":
+            return 200, {"status": "ok", "role": "shared-cache"}
+        if method == "GET" and path == "/metrics":
+            return 200, {"shared_cache": self.stats()}
+        if method == "POST" and path in ("/cache/lookup", "/cache/store"):
+            try:
+                request = json.loads(body) if body else {}
+                if path == "/cache/lookup":
+                    return 200, {"hits": self.lookup(request.get("keys", []))}
+                return 200, {"stored": self.put(request.get("entries", {}))}
+            except (ValueError, KeyError, TypeError) as error:
+                return 400, {"error": str(error)}
+        return 404, {"error": f"unknown path {path}"}
 
 
-def _build_server(host: str, port: int, service: SharedCacheService):
-    handler = type("BoundCacheHandler", (_CacheHandler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+class CacheServiceHandle(FrontEndHandle):
+    """An in-process shared cache for tests: real HTTP, no subprocess.
 
-
-class CacheServiceHandle:
-    """An in-process shared cache for tests: real HTTP, no subprocess."""
+    Serving from construction on; :meth:`close` stops it.
+    """
 
     def __init__(self, maxsize: int = DEFAULT_SHARED_SIZE, host: str = "127.0.0.1"):
         self.service = SharedCacheService(maxsize)
-        self._server = _build_server(host, 0, self.service)
-        self.address: Tuple[str, int] = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="shared-cache",
-            daemon=True,
-        )
-        self._thread.start()
+        super().__init__(self.service.route, host, 0, name="shared-cache")
+        self.start()
 
     def client(self) -> "HttpSharedCacheClient":
         return HttpSharedCacheClient(self.address)
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "CacheServiceHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.stop()
 
 
 class HttpSharedCacheClient:
@@ -198,8 +161,6 @@ class HttpSharedCacheClient:
         self.timeout = timeout
 
     def lookup(self, keys: List[bytes]) -> Dict[bytes, np.ndarray]:
-        from repro.cluster.workers import http_json
-
         status, payload = http_json(
             self.address,
             "POST",
@@ -215,8 +176,6 @@ class HttpSharedCacheClient:
         }
 
     def store(self, entries: Mapping[bytes, np.ndarray]) -> None:
-        from repro.cluster.workers import http_json
-
         body = json.dumps(
             {
                 "entries": {
@@ -264,20 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     service = SharedCacheService(args.size)
-    server = _build_server(args.host, args.port, service)
-
-    def _terminate(signum, frame):
-        # Graceful stop: the store is a cache, so there is nothing to
-        # persist -- exit 0 and let clients fall back to L1.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    # SIGTERM/SIGINT stop it gracefully: the store is a cache, so there
+    # is nothing to persist -- exit 0 and let clients fall back to L1.
+    asyncio.run(serve_until_signalled(service.route, args.host, args.port))
     return 0
 
 

@@ -10,11 +10,13 @@ replica that owns its :class:`~repro.serve.sessions.AttackSession`, so
 per-session query accounting stays exactly as paper-faithful as the
 single-process server -- one session, one counter, one replica.
 
-**Supervision.**  A heartbeat thread sweeps the worker slots: a worker
-whose process exited, or that misses consecutive ``/healthz`` probes, is
-declared dead, removed from the ring, and respawned into the same slot
-with exponential backoff -- up to ``max_restarts`` times, after which
-the slot stays down and its capacity is gone but the tier keeps serving.
+**Supervision.**  A heartbeat thread sweeps every slot -- the workers
+and, with ``--shared-cache``, the cache service: a process that exited,
+misses consecutive ``/healthz`` probes, or never passes one within
+``boot_timeout`` of a restart is declared dead and respawned into the
+same slot with exponential backoff -- up to ``max_restarts`` times,
+after which the slot stays down.  A dead worker also leaves the ring
+(its capacity is gone but the tier keeps serving).
 
 **Rebalancing.**  A dead worker's open sessions are re-submitted to
 survivors under their original ids.  The attacks are deterministic and
@@ -37,31 +39,28 @@ membership event -- spawn, death, restart, rebalance, drain -- lands in a
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cacheservice import cacheservice_argv
 from repro.cluster.config import ClusterConfig, worker_argv
 from repro.cluster.hashing import HashRing
 from repro.cluster.metrics import aggregate_worker_metrics
-from repro.cluster.workers import (
-    BOOTING,
-    DEAD,
-    LIVE,
-    WorkerProcess,
-    free_port,
-    http_json,
-)
-from repro.models.registry import ARCHITECTURES
+from repro.cluster.workers import BOOTING, DEAD, LIVE, WorkerProcess, free_port
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.events import RunLog
+from repro.runtime.http import FrontEndHandle, http_json, stop_signals
+from repro.serve.server import WORKER_FLAGS, _positive_int, add_flags
 
-#: Request bodies above this size are rejected before buffering.
-MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Router requests in flight at once.  Each blocks a thread on worker
+#: round trips; asyncio's default executor (min(32, cpus + 4) threads)
+#: would let a few stalled workers starve /healthz and every other poll.
+_ROUTE_THREADS = 512
 
 #: Terminal session states, as reported by workers.
 _TERMINAL = ("done", "failed", "cancelled", "expired")
@@ -203,8 +202,9 @@ class ClusterRouter:
             # very first miss (a late L2 would only cost misses, not
             # correctness, but there is no reason to waste them).
             self.cache_service.spawn()
-            self.run_log.emit(
-                "cache_service_spawn",
+            self._slot_event(
+                self.cache_service,
+                "spawn",
                 port=self.cache_service.port,
                 pid=self.cache_service.pid,
             )
@@ -216,9 +216,7 @@ class ClusterRouter:
                 )
         for worker in self.workers:
             worker.spawn()
-            self.run_log.emit(
-                "worker_spawn", worker=worker.name, port=worker.port, pid=worker.pid
-            )
+            self._slot_event(worker, "spawn", port=worker.port, pid=worker.pid)
         failed = []
         for worker in self.workers:
             if worker.wait_healthy(self.config.boot_timeout):
@@ -333,7 +331,7 @@ class ClusterRouter:
                         f"overloaded: {open_count} open sessions >= "
                         f"{self.config.shed_open_sessions}"
                     ),
-                    "retry_after": self.config.shed_retry_after,
+                    "retry_after": self.config.serve.shed_retry_after,
                 }
         session_id = self._generate_id()
         with self._lock:
@@ -567,7 +565,7 @@ class ClusterRouter:
         live = self.live_workers()
         return 200, {
             "status": "ok",
-            "model": self.config.model,
+            "model": self.config.serve.model,
             "workers": {"live": len(live), "total": len(self.workers)},
         }
 
@@ -643,32 +641,42 @@ class ClusterRouter:
     # supervision and rebalancing
     # ------------------------------------------------------------------
 
+    def _slots(self) -> List[WorkerProcess]:
+        """Every supervised slot: the workers, then the cache service."""
+        cache = [self.cache_service] if self.cache_service is not None else []
+        return self.workers + cache
+
+    def _slot_event(self, slot: WorkerProcess, event: str, **fields) -> None:
+        """Log ``worker_<event>`` (naming the worker) or ``cache_service_<event>``."""
+        if slot is self.cache_service:
+            self.run_log.emit(f"cache_service_{event}", **fields)
+        else:
+            self.run_log.emit(f"worker_{event}", worker=slot.name, **fields)
+
     def supervise_once(self, now: Optional[float] = None) -> None:
         """One heartbeat sweep: detect deaths, promote boots, restart."""
         now = time.monotonic() if now is None else now
-        for worker in self.workers:
-            if worker.state in (LIVE, BOOTING):
-                if not worker.process_alive():
-                    self._declare_dead(worker, reason="process exited")
-                elif worker.healthy(timeout=min(2.0, self.config.heartbeat * 4)):
-                    worker.missed_heartbeats = 0
-                    if worker.state == BOOTING:
-                        worker.state = LIVE
-                        with self._lock:
-                            self.ring.add(worker.name)
-                        self.run_log.emit(
-                            "worker_live", worker=worker.name, pid=worker.pid
-                        )
-                elif worker.state == LIVE:
-                    worker.missed_heartbeats += 1
-                    if worker.missed_heartbeats >= self.config.heartbeat_misses:
-                        self._declare_dead(worker, reason="heartbeat misses")
-                elif now > self._boot_deadlines.get(worker.name, now + 1):
-                    self._declare_dead(worker, reason="boot timeout")
-            elif worker.state == DEAD and worker.next_spawn_at is not None:
-                if now >= worker.next_spawn_at:
-                    self._restart(worker)
-        self._supervise_cache_service(now)
+        for slot in self._slots():
+            if slot.state in (LIVE, BOOTING):
+                if not slot.process_alive():
+                    self._declare_dead(slot, reason="process exited")
+                elif slot.healthy(timeout=min(2.0, self.config.heartbeat * 4)):
+                    slot.missed_heartbeats = 0
+                    if slot.state == BOOTING:
+                        slot.state = LIVE
+                        if slot is not self.cache_service:
+                            with self._lock:
+                                self.ring.add(slot.name)
+                        self._slot_event(slot, "live", pid=slot.pid)
+                elif slot.state == LIVE:
+                    slot.missed_heartbeats += 1
+                    if slot.missed_heartbeats >= self.config.heartbeat_misses:
+                        self._declare_dead(slot, reason="heartbeat misses")
+                elif now > self._boot_deadlines.get(slot.name, now + 1):
+                    self._declare_dead(slot, reason="boot timeout")
+            elif slot.state == DEAD and slot.next_spawn_at is not None:
+                if now >= slot.next_spawn_at:
+                    self._restart(slot)
         self._sweeps += 1
         if self._sweeps % 4 == 0:
             # Periodic terminal-session reaping (satellite of drain's
@@ -677,106 +685,55 @@ class ClusterRouter:
             self.sweep_terminal_sessions()
         self.tick_rebalance()
 
-    def _supervise_cache_service(self, now: float) -> None:
-        """Heartbeat the shared-cache slot, mirroring the worker sweep.
+    def _declare_dead(self, slot: WorkerProcess, reason: str) -> None:
+        """Make a slot's death real and schedule its restart.
 
-        A dead cache is never an emergency -- every worker silently
-        degrades to private-L1 behaviour and re-probes after its
-        cooldown -- so death here only costs shared hits, and a restart
-        (same port) is picked up by the workers with no coordination.
+        A dead worker also leaves the ring and queues its open sessions
+        for rebalance.  A dead cache service is never an emergency --
+        every worker silently degrades to private-L1 behaviour and
+        re-probes after its cooldown -- so it only costs shared hits,
+        and its restart (same port) needs no coordination.
         """
-        slot = self.cache_service
-        if slot is None:
-            return
-        if slot.state in (LIVE, BOOTING):
-            if not slot.process_alive():
-                self._cache_service_dead("process exited")
-            elif slot.healthy(timeout=min(2.0, self.config.heartbeat * 4)):
-                slot.missed_heartbeats = 0
-                if slot.state == BOOTING:
-                    slot.state = LIVE
-                    self.run_log.emit("cache_service_live", pid=slot.pid)
-            elif slot.state == LIVE:
-                slot.missed_heartbeats += 1
-                if slot.missed_heartbeats >= self.config.heartbeat_misses:
-                    self._cache_service_dead("heartbeat misses")
-        elif slot.state == DEAD and slot.next_spawn_at is not None:
-            if now >= slot.next_spawn_at:
-                slot.restarts += 1
-                slot.spawn()
-                self.run_log.emit(
-                    "cache_service_restart", restarts=slot.restarts, pid=slot.pid
-                )
-
-    def _cache_service_dead(self, reason: str) -> None:
-        slot = self.cache_service
         if slot.state == DEAD:
             return
         slot.state = DEAD
         if slot.proc is not None and slot.proc.poll() is None:
-            slot.kill()
-        self.run_log.emit("cache_service_death", reason=reason)
+            slot.kill()  # unresponsive but alive: make death real
+        is_worker = slot is not self.cache_service
+        if is_worker:
+            orphaned: List[str] = []
+            with self._lock:
+                self.ring.remove(slot.name)
+                self.deaths += 1
+                for entry in self._sessions.values():
+                    if entry.worker == slot.name and not entry.done:
+                        entry.worker = None
+                        orphaned.append(entry.session_id)
+                self._pending.extend(orphaned)
+            self._slot_event(
+                slot, "death", reason=reason, orphaned_sessions=len(orphaned)
+            )
+            if orphaned:
+                self.run_log.emit(
+                    "cluster_rebalance", worker=slot.name, sessions=len(orphaned)
+                )
+        else:
+            self._slot_event(slot, "death", reason=reason)
         if slot.restarts < self.config.max_restarts:
             slot.next_spawn_at = time.monotonic() + self.config.backoff * (
                 2 ** slot.restarts
             )
         else:
             slot.next_spawn_at = None
-            self.run_log.emit(
-                "cache_service_restart_exhausted", restarts=slot.restarts
-            )
+            self._slot_event(slot, "restart_exhausted", restarts=slot.restarts)
+        if is_worker:
+            self.tick_rebalance()
 
-    def _declare_dead(self, worker: WorkerProcess, reason: str) -> None:
-        """Remove a dead replica from the ring and queue its sessions."""
-        if worker.state == DEAD:
-            return
-        worker.state = DEAD
-        if worker.proc is not None and worker.proc.poll() is None:
-            worker.kill()  # unresponsive but alive: make death real
-        orphaned: List[str] = []
-        with self._lock:
-            self.ring.remove(worker.name)
-            self.deaths += 1
-            for entry in self._sessions.values():
-                if entry.worker == worker.name and not entry.done:
-                    entry.worker = None
-                    orphaned.append(entry.session_id)
-            self._pending.extend(orphaned)
-        self.run_log.emit(
-            "worker_death",
-            worker=worker.name,
-            reason=reason,
-            orphaned_sessions=len(orphaned),
-        )
-        if orphaned:
-            self.run_log.emit(
-                "cluster_rebalance", worker=worker.name, sessions=len(orphaned)
-            )
-        if worker.restarts < self.config.max_restarts:
-            worker.next_spawn_at = time.monotonic() + self.config.backoff * (
-                2 ** worker.restarts
-            )
-        else:
-            worker.next_spawn_at = None
-            self.run_log.emit(
-                "worker_restart_exhausted",
-                worker=worker.name,
-                restarts=worker.restarts,
-            )
-        self.tick_rebalance()
-
-    def _restart(self, worker: WorkerProcess) -> None:
-        worker.restarts += 1
-        worker.spawn()
-        self._boot_deadlines[worker.name] = (
-            time.monotonic() + self.config.boot_timeout
-        )
-        self.run_log.emit(
-            "worker_restart",
-            worker=worker.name,
-            restarts=worker.restarts,
-            pid=worker.pid,
-        )
+    def _restart(self, slot: WorkerProcess) -> None:
+        slot.restarts += 1
+        slot.spawn()
+        self._boot_deadlines[slot.name] = time.monotonic() + self.config.boot_timeout
+        self._slot_event(slot, "restart", restarts=slot.restarts, pid=slot.pid)
 
     def tick_rebalance(self) -> int:
         """Try to place every orphaned session on a survivor.
@@ -942,99 +899,41 @@ class ClusterSupervisor(threading.Thread):
         self.join(timeout=10.0)
 
 
-# ----------------------------------------------------------------------
-# HTTP front end (threaded: handlers block on worker round trips)
-# ----------------------------------------------------------------------
-
-
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    router: ClusterRouter
-
-
-class _RouterRequestHandler(BaseHTTPRequestHandler):
-    server: _RouterHTTPServer
-
-    def log_message(self, *args) -> None:  # silence per-request stderr
-        pass
-
-    def _client(self) -> str:
-        return self.headers.get("X-Client-Id") or self.client_address[0]
-
-    def _respond(self, status: int, payload: Dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if status in (429, 503) and "retry_after" in payload:
-            self.send_header("Retry-After", str(payload["retry_after"]))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _handle(self, method: str) -> None:
-        body = b""
-        if method == "POST":
-            length = int(self.headers.get("Content-Length", "0") or "0")
-            if length > MAX_BODY_BYTES:
-                self._respond(413, {"error": "request body too large"})
-                return
-            body = self.rfile.read(length) if length else b""
-        path = self.path.split("?", 1)[0]
-        try:
-            status, payload = self.server.router.route(
-                method, path, body, self._client()
-            )
-        except Exception as exc:  # route bugs must not kill the router
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        self._respond(status, payload)
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
-
-
-class ClusterHandle:
+class ClusterHandle(FrontEndHandle):
     """A full tier (router + workers + supervisor) under one handle.
 
-    The router listens in-process on a background thread while workers
-    run as real subprocesses -- the same shape as production, minus the
-    top-level signal handling, so tests and benchmarks can start a tier
-    with ``with ClusterHandle(config) as handle:`` and read its resolved
-    ``address``.
+    The router listens in-process on a background event loop while
+    workers run as real subprocesses -- the same shape as production,
+    minus the top-level signal handling, so tests and benchmarks can
+    start a tier with ``with ClusterHandle(config) as handle:`` and read
+    its resolved ``address``.  Router handlers block on worker round
+    trips, so each request runs on a thread of the handle's own pool,
+    off the event loop.
     """
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.router = ClusterRouter(config)
         self.supervisor: Optional[ClusterSupervisor] = None
-        self._http: Optional[_RouterHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self.address: Optional[Tuple[str, int]] = None
+        self._threads = ThreadPoolExecutor(
+            max_workers=_ROUTE_THREADS, thread_name_prefix="cluster-route"
+        )
         self._stopped = False
+        super().__init__(self._route, config.host, config.port, name="cluster-http")
+
+    def _route(self, method: str, path: str, headers: Dict[str, str], body: bytes):
+        return asyncio.get_running_loop().run_in_executor(
+            self._threads,
+            self.router.route,
+            method,
+            path,
+            body,
+            headers["x-client-id"],
+        )
 
     def start(self) -> "ClusterHandle":
         self.router.start()
-        self._http = _RouterHTTPServer(
-            (self.config.host, self.config.port), _RouterRequestHandler
-        )
-        self._http.router = self.router
-        self.address = self._http.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="cluster-http",
-            daemon=True,
-            kwargs={"poll_interval": 0.1},
-        )
-        self._thread.start()
+        super().start()
         self.supervisor = ClusterSupervisor(self.router)
         self.supervisor.start()
         return self
@@ -1048,21 +947,12 @@ class ClusterHandle:
         if self.supervisor is not None:
             self.supervisor.stop()
         summary = self.router.drain()
-        if self._http is not None:
-            self._http.shutdown()
-            self._http.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        super().stop()
+        self._threads.shutdown(wait=False)
         return summary
 
     def stop(self) -> None:
         self.drain()
-
-    def __enter__(self) -> "ClusterHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------
@@ -1073,39 +963,33 @@ class ClusterHandle:
 def run_cluster(config: ClusterConfig) -> int:
     """Run a tier until SIGTERM/SIGINT, then drain it; returns 0.
 
-    Shared by ``repro cluster`` and ``repro-serve --cluster N``.
+    Shared by ``repro cluster`` and ``repro-serve --cluster N``.  The
+    signals are armed before the blocking boot: one that lands while
+    workers start still drains the tier once it is up.
     """
-    stop_requested = threading.Event()
 
-    def _request_stop(signum, frame):
-        stop_requested.set()
+    async def run() -> None:
+        with stop_signals() as stop:
+            handle = ClusterHandle(config)
+            try:
+                handle.start()
+                host, port = handle.address
+                print(
+                    f"repro-cluster: {config.workers} x {config.serve.model} "
+                    f"replicas behind http://{host}:{port} "
+                    f"(heartbeat {config.heartbeat:.1f}s, "
+                    f"restarts<={config.max_restarts})"
+                )
+                await stop.wait()
+                summary = handle.drain()
+                print(
+                    f"repro-cluster: drained; {summary['open']} open sessions, "
+                    f"{summary['durable']} durable in the ledger"
+                )
+            finally:
+                handle.stop()
 
-    installed = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            installed[signum] = signal.signal(signum, _request_stop)
-        except (ValueError, OSError):  # non-main thread
-            pass
-    handle = ClusterHandle(config)
-    try:
-        handle.start()
-        host, port = handle.address
-        print(
-            f"repro-cluster: {config.workers} x {config.model} replicas "
-            f"behind http://{host}:{port} "
-            f"(heartbeat {config.heartbeat:.1f}s, "
-            f"restarts<={config.max_restarts})"
-        )
-        stop_requested.wait()
-        summary = handle.drain()
-        print(
-            f"repro-cluster: drained; {summary['open']} open sessions, "
-            f"{summary['durable']} durable in the ledger"
-        )
-    finally:
-        handle.stop()
-        for signum, previous in installed.items():
-            signal.signal(signum, previous)
+    asyncio.run(run())
     return 0
 
 
@@ -1121,24 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8870,
                         help="router port (workers take ephemeral ports)")
-    parser.add_argument(
-        "--model", default="toy", choices=["toy"] + sorted(ARCHITECTURES)
-    )
-    parser.add_argument("--height", type=int, default=8)
-    parser.add_argument("--width", type=int, default=8)
-    parser.add_argument("--classes", type=int, default=4, dest="num_classes")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=32,
-                        dest="max_batch_size")
-    parser.add_argument("--max-wait", type=float, default=0.002)
-    parser.add_argument("--cache", type=int, default=4096, dest="cache_size")
-    parser.add_argument("--freeze", action="store_true",
-                        help="serve replicas on the inference fast path")
-    parser.add_argument("--dtype", choices=["float32", "float64"], default=None)
-    parser.add_argument(
-        "--latency", type=float, default=0.0,
-        help="simulated per-image model seconds (benchmark knob)",
-    )
+    add_flags(parser, WORKER_FLAGS)
     parser.add_argument(
         "--shared-cache", action="store_true", dest="shared_cache",
         help="run a shared L2 query-cache process; workers consult it "
@@ -1150,9 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="shared_cache_size",
         help="entries in the shared L2 bounded LRU",
     )
-    parser.add_argument("--max-sessions", type=int, default=64)
-    parser.add_argument("--rate", type=float, default=50.0)
-    parser.add_argument("--burst", type=float, default=20.0)
     parser.add_argument("--heartbeat", type=float, default=0.5)
     parser.add_argument("--max-restarts", type=int, default=3)
     parser.add_argument("--backoff", type=float, default=0.5)
@@ -1168,53 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log", default=None, dest="log_path",
                         help="cluster_event JSONL telemetry file")
     parser.add_argument(
-        "--scalar-steps", action="store_true",
-        help="pin every worker to the legacy one-query-at-a-time "
-        "stepping protocol (bit-identical; differential escape hatch)",
-    )
-    parser.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock deadline applied by workers to submissions "
-        "that omit deadline_seconds",
-    )
-    parser.add_argument(
-        "--max-deadline", type=float, default=None, metavar="SECONDS",
-        help="hard cap on requested deadline_seconds (workers 400 larger)",
-    )
-    parser.add_argument(
-        "--session-ttl", type=float, default=None, dest="session_ttl",
-        metavar="SECONDS",
-        help="worker TTL: reap finished sessions unpolled this long "
-        "(the router settles them and closes their ledger records)",
-    )
-    parser.add_argument(
-        "--idle-ttl", type=float, default=None, dest="idle_ttl",
-        metavar="SECONDS",
-        help="worker TTL: cancel live sessions no client has polled "
-        "for this long",
-    )
-    parser.add_argument(
-        "--reap-interval", type=float, default=1.0, dest="reap_interval",
-        metavar="SECONDS", help="worker TTL reaper cadence",
-    )
-    parser.add_argument(
-        "--shed-queue-depth", type=int, default=None, dest="shed_queue_depth",
-        metavar="N",
-        help="per-worker overload shedding: 503 + Retry-After while the "
-        "broker queue holds >= N pending queries",
-    )
-    parser.add_argument(
-        "--shed-sessions", type=int, default=None, dest="shed_sessions",
-        metavar="N",
-        help="per-worker overload shedding: 503 while >= N sessions live",
-    )
-    parser.add_argument(
-        "--shed-retry-after", type=float, default=1.0,
-        dest="shed_retry_after", metavar="SECONDS",
-        help="Retry-After value sent with shed (503) responses",
-    )
-    parser.add_argument(
-        "--shed-open-sessions", type=int, default=None,
+        "--shed-open-sessions", type=_positive_int, default=None,
         dest="shed_open_sessions", metavar="N",
         help="router-level overload shedding: refuse new submits with "
         "503 while >= N sessions are open tier-wide",
@@ -1223,10 +1041,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ClusterConfig(**vars(args))
+    options = vars(build_parser().parse_args(argv))
     try:
-        return run_cluster(config)
+        return run_cluster(ClusterConfig.from_options(options))
     except KeyboardInterrupt:
         return 0
 

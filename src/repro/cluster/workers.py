@@ -16,17 +16,15 @@ ledger, which survives any worker's death and the tier's own restart.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
 import subprocess
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig, worker_argv
+from repro.runtime.http import http_json
 
 #: Worker lifecycle states, as the supervisor sees them.
 BOOTING = "booting"
@@ -40,38 +38,6 @@ def free_port(host: str = "127.0.0.1") -> int:
     with socket.socket() as sock:
         sock.bind((host, 0))
         return sock.getsockname()[1]
-
-
-def http_json(
-    address: Tuple[str, int],
-    method: str,
-    path: str,
-    body: Optional[bytes] = None,
-    headers: Optional[Dict[str, str]] = None,
-    timeout: float = 10.0,
-) -> Tuple[int, Dict]:
-    """One JSON round trip to a worker (or any serve-protocol peer).
-
-    Returns ``(status, payload)`` for every HTTP status -- 4xx/5xx are
-    responses to relay, not exceptions; only transport failures raise
-    (``OSError``/``URLError``), which is the signal a worker is gone.
-    """
-    host, port = address
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=body,
-        headers={"Content-Type": "application/json", **(headers or {})},
-        method=method,
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.load(response)
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.load(error)
-        except (json.JSONDecodeError, ValueError):
-            payload = {"error": error.reason}
-        return error.code, payload
 
 
 class WorkerProcess:
@@ -143,7 +109,7 @@ class WorkerProcess:
             return False
         try:
             status, _ = http_json(self.address, "GET", "/healthz", timeout=timeout)
-        except (OSError, urllib.error.URLError):
+        except OSError:
             return False
         return status == 200
 

@@ -135,15 +135,19 @@ class TokenBucket:
         burst: float,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if burst < 1:
-            raise ValueError("burst must allow at least one request")
+        self.validate(rate, burst)
         self.rate = rate
         self.burst = burst
         self._clock = clock
         self._tokens = burst
         self._updated = clock()
+
+    @staticmethod
+    def validate(rate: float, burst: float) -> None:
+        if rate <= 0:
+            raise ValueError("rate must be positive")
+        if burst < 1:
+            raise ValueError("burst must allow at least one request")
 
     def allow(self) -> bool:
         now = self._clock()
@@ -170,6 +174,9 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         max_clients: int = 4096,
     ):
+        # Checked here, not at each client's first submit, where a bad
+        # rate would turn every POST /attacks into a 500.
+        TokenBucket.validate(rate, burst)
         if max_clients < 1:
             raise ValueError("max_clients must be at least 1")
         self.rate = rate

@@ -1,8 +1,7 @@
-"""The asyncio HTTP front end of the attack service.
+"""The attack service: its routes, its settings and ``repro-serve``.
 
-A deliberately small HTTP/1.1 server (stdlib only -- ``asyncio`` streams
-plus hand-rolled request parsing) exposing the serving stack as JSON
-endpoints:
+The serving stack as JSON endpoints on the shared front end
+(:mod:`repro.runtime.http`):
 
 ========================  =====================================================
 ``POST /attacks``         submit an attack (see :mod:`repro.serve.protocol`);
@@ -25,14 +24,14 @@ endpoints:
 
 Request handlers never block on model work: ``POST /attacks`` hands the
 session to the :class:`~repro.serve.sessions.SessionManager`'s worker
-pool and returns immediately; clients poll ``GET /attacks/{id}``.  Every
-response closes the connection -- the protocol is strictly one request
-per connection, which keeps the parser honest and is plenty for a
-polling workload.
+pool and returns immediately; clients poll ``GET /attacks/{id}``.
 
-:class:`ServerHandle` runs the event loop on a background thread so
-tests, the CI smoke check, and :mod:`examples.serve_clients` can start a
-real server in-process and talk to it over a loopback socket.
+:data:`WORKER_FLAGS` declares the replica settings once: both
+``repro-serve`` and ``repro cluster`` build their parsers from it, and
+the cluster serialises each worker's command line back through it.
+:class:`ServerHandle` runs a server on a background thread so tests, the
+CI smoke check, and :mod:`examples.serve_clients` can start a real
+server in-process and talk to it over a loopback socket.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import signal
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,27 +51,11 @@ from repro.models.registry import ARCHITECTURES, build_model
 from repro.runtime.cache import QueryCache, normalized_cache_size
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.events import RunLog, ensure_log
+from repro.runtime.http import FrontEndHandle, serve_until_signalled
 from repro.serve.admission import AdmissionControl, OverloadPolicy, RateLimiter
 from repro.serve.broker import BatchPolicy, MicroBatchBroker
 from repro.serve.protocol import ProtocolError, decode_attack_request
 from repro.serve.sessions import SessionManager
-
-#: Request bodies above this size are rejected with 413 before parsing.
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-_STATUS_TEXT = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    410: "Gone",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 
 @dataclass
@@ -134,6 +115,153 @@ class ServeConfig:
     shed_queue_depth: Optional[int] = None
     shed_sessions: Optional[int] = None
     shed_retry_after: float = 1.0
+
+    def manifest(self, kind: str = "serve") -> Dict:
+        """The model identity a checkpoint or ledger of ``kind`` pins;
+        resuming under a different model would silently change every
+        restored session's scores."""
+        return {
+            "kind": kind,
+            "model": self.model,
+            "height": self.height,
+            "width": self.width,
+            "num_classes": self.num_classes,
+            "seed": self.seed,
+        }
+
+
+def _checked(kind, test, message: str):
+    """An argparse ``type``: parse with ``kind``, then enforce ``test``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_nonnegative_int = _checked(int, lambda value: value >= 0, "must be >= 0")
+_positive_int = _checked(int, lambda value: value >= 1, "must be >= 1")
+_positive_float = _checked(float, lambda value: value > 0, "must be > 0")
+_at_least_one = _checked(float, lambda value: value >= 1, "must be >= 1")
+
+#: The replica settings, declared once as ``(flag, ServeConfig field,
+#: argparse options)``; each flag's default is its field's.  Both
+#: ``repro-serve`` and ``repro cluster`` add every row, so a tier
+#: rejects exactly the values its workers would.
+WORKER_FLAGS = (
+    ("--model", "model", dict(
+        choices=["toy"] + sorted(ARCHITECTURES),
+        help="model to serve (default: toy SmoothLinearClassifier)",
+    )),
+    ("--height", "height", dict(type=int)),
+    ("--width", "width", dict(type=int)),
+    ("--classes", "num_classes", dict(type=int)),
+    ("--seed", "seed", dict(type=int)),
+    ("--batch-size", "max_batch_size", dict(type=int)),
+    ("--max-wait", "max_wait", dict(
+        type=float,
+        help="seconds the oldest pending query may wait before a flush",
+    )),
+    ("--cache", "cache_size", dict(
+        type=_nonnegative_int, help="query-cache entries (0 disables caching)",
+    )),
+    ("--freeze", "freeze", dict(
+        action="store_true",
+        help="serve network models on the inference fast path (folded "
+        "batch norms, reused buffers); no-op for the toy model",
+    )),
+    ("--dtype", "dtype", dict(
+        choices=["float32", "float64"],
+        help="cast network models for inference (float32 is ~2x faster "
+        "on CPU; scores differ from float64 in the last ulps)",
+    )),
+    ("--latency", "latency", dict(
+        type=float,
+        help="simulated per-image model seconds (benchmark knob: makes "
+        "the toy model behave like a compute-bound replica)",
+    )),
+    ("--max-sessions", "max_sessions", dict(type=int)),
+    ("--rate", "rate", dict(
+        type=_positive_float, help="per-client submissions per second",
+    )),
+    ("--burst", "burst", dict(
+        type=_at_least_one, help="per-client token-bucket capacity",
+    )),
+    ("--scalar-steps", "scalar_steps", dict(
+        action="store_true",
+        help="drive attacks with the legacy one-query-at-a-time stepping "
+        "protocol instead of batch-native QueryBatch stepping "
+        "(bit-identical results; differential escape hatch)",
+    )),
+    ("--default-deadline", "default_deadline", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="wall-clock deadline applied to submissions that omit "
+        "deadline_seconds; sessions past it park as 'expired' at their "
+        "next query boundary with exact query counts",
+    )),
+    ("--max-deadline", "max_deadline", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="hard cap on requested deadline_seconds (larger asks get 400)",
+    )),
+    ("--session-ttl", "session_ttl", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="reap finished sessions unpolled this long (polls then get "
+        "410 Gone; a cluster router settles them and closes their ledger "
+        "records); default keeps them until history eviction",
+    )),
+    ("--idle-ttl", "idle_ttl", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="cancel live sessions no client has polled for this long "
+        "(abandoned submissions stop burning model time)",
+    )),
+    ("--reap-interval", "reap_interval", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="cadence of the TTL reaper sweep (default 1s)",
+    )),
+    ("--shed-queue-depth", "shed_queue_depth", dict(
+        type=_positive_int, metavar="N",
+        help="shed new submissions with 503 + Retry-After while the "
+        "broker queue holds >= N pending queries",
+    )),
+    ("--shed-sessions", "shed_sessions", dict(
+        type=_positive_int, metavar="N",
+        help="shed new submissions with 503 + Retry-After while >= N "
+        "sessions are live (soft watermark below --max-sessions)",
+    )),
+    ("--shed-retry-after", "shed_retry_after", dict(
+        type=_positive_float, metavar="SECONDS",
+        help="Retry-After value sent with shed (503) responses",
+    )),
+)
+
+#: What a replica is configured by: the shared rows plus ``--workers``,
+#: the threads that run serve's sessions.  ``repro cluster`` spends that
+#: flag name on its replica count, but its workers still get the value.
+SERVE_FLAGS = WORKER_FLAGS + (
+    ("--workers", "max_workers", dict(type=int, help="threads running sessions")),
+)
+
+
+def add_flags(parser: argparse.ArgumentParser, rows) -> None:
+    for flag, field, options in rows:
+        parser.add_argument(
+            flag, dest=field, default=getattr(ServeConfig, field), **options
+        )
+
+
+def flag_argv(config: ServeConfig, rows) -> List[str]:
+    """``config``'s non-default settings among ``rows``, as flags."""
+    argv: List[str] = []
+    for flag, field, options in rows:
+        value = getattr(config, field)
+        if value != getattr(ServeConfig, field):
+            switch = options.get("action") == "store_true"
+            argv += [flag] if switch else [flag, str(value)]
+    return argv
 
 
 class PerImageLatencyClassifier:
@@ -283,7 +411,7 @@ class AttackServer:
         open_sessions = self.sessions.drain()
         persisted = skipped = 0
         if self.checkpoint is not None:
-            self.checkpoint.reconcile_manifest(self._checkpoint_manifest())
+            self.checkpoint.reconcile_manifest(self.config.manifest())
             for session in open_sessions:
                 if session.spec is None:
                     skipped += 1  # programmatic session: nothing to rebuild from
@@ -311,18 +439,6 @@ class AttackServer:
         self._stopped = True
         return summary
 
-    def _checkpoint_manifest(self) -> Dict:
-        """Identity of the serving stack; a resume under a different
-        model would silently change every restored session's scores."""
-        return {
-            "kind": "serve",
-            "model": self.config.model,
-            "height": self.config.height,
-            "width": self.config.width,
-            "num_classes": self.config.num_classes,
-            "seed": self.config.seed,
-        }
-
     def restore_sessions(self) -> int:
         """Rebuild persisted sessions from the checkpoint and restart them.
 
@@ -336,7 +452,7 @@ class AttackServer:
         """
         if self.checkpoint is None:
             return 0
-        self.checkpoint.reconcile_manifest(self._checkpoint_manifest())
+        self.checkpoint.reconcile_manifest(self.config.manifest())
         records, _truncated = self.checkpoint.records()
         by_id: Dict[str, Dict] = {}
         for record in records:
@@ -570,81 +686,17 @@ class AttackServer:
         return 404, {"error": f"no such endpoint: {path}"}
 
 
-def _response_bytes(status: int, payload: Dict, extra_headers: Dict = None) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    headers = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
-    for key, value in (extra_headers or {}).items():
-        headers.append(f"{key}: {value}")
-    return ("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + body
-
-
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str], bytes]:
-    """Parse one HTTP/1.1 request: (method, path, headers, body)."""
-    request_line = await reader.readline()
-    if not request_line:
-        raise ConnectionError("empty request")
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise ProtocolError("malformed request line")
-    method, target, _version = parts
-    path = target.split("?", 1)[0]
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise ProtocolError("request body too large", status=413)
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), path, headers, body
-
-
-async def _handle_connection(
-    server: AttackServer,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    try:
-        try:
-            method, path, headers, body = await _read_request(reader)
-        except ProtocolError as exc:
-            writer.write(_response_bytes(exc.status, {"error": str(exc)}))
-            await writer.drain()
-            return
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-            return
-        peer = writer.get_extra_info("peername")
-        client = headers.get("x-client-id") or (peer[0] if peer else "unknown")
-        session_id = headers.get("x-session-id") or None
-        try:
-            status, payload = server.route(
-                method, path, body, client, session_id=session_id
-            )
-        except Exception as exc:  # route bugs must not kill the server
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        extra = (
-            {"Retry-After": payload["retry_after"]}
-            if status in (429, 503) and "retry_after" in payload
-            else None
+    def http_route(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Dict]:
+        """:meth:`route` as the shared front end calls it."""
+        return self.route(
+            method,
+            path,
+            body,
+            headers["x-client-id"],
+            session_id=headers.get("x-session-id") or None,
         )
-        writer.write(_response_bytes(status, payload, extra))
-        await writer.drain()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def serve(server: AttackServer) -> None:
@@ -657,39 +709,29 @@ async def serve(server: AttackServer) -> None:
     configured), and the coroutine returns normally so the process can
     exit 0.
     """
+
+    async def drain() -> None:
+        # Flip the 503 gate before the blocking drain so requests
+        # racing the shutdown are rejected, not stalled.
+        server.draining = True
+        summary = await asyncio.get_running_loop().run_in_executor(
+            None, server.drain_and_stop
+        )
+        print(
+            f"repro-serve: drained; {summary['persisted']}/"
+            f"{summary['open']} open sessions persisted"
+        )
+
     server.start()
-    stop_requested = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop_requested.set)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):  # non-main thread, Windows
-            pass
-    tcp = await asyncio.start_server(
-        lambda r, w: _handle_connection(server, r, w),
-        host=server.config.host,
-        port=server.config.port,
-    )
     try:
-        async with tcp:
-            await stop_requested.wait()
-            # Flip the 503 gate before the blocking drain so requests
-            # racing the shutdown are rejected, not stalled.
-            server.draining = True
-            summary = await loop.run_in_executor(None, server.drain_and_stop)
-            print(
-                f"repro-serve: drained; {summary['persisted']}/"
-                f"{summary['open']} open sessions persisted"
-            )
+        await serve_until_signalled(
+            server.http_route, server.config.host, server.config.port, drain
+        )
     finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
         server.stop()
 
 
-class ServerHandle:
+class ServerHandle(FrontEndHandle):
     """A server running on a background thread, for in-process use.
 
     ``port=0`` binds an ephemeral port; read the resolved address from
@@ -699,78 +741,17 @@ class ServerHandle:
     def __init__(self, config: ServeConfig):
         self.config = config
         self.server = AttackServer(config)
-        self.address: Optional[Tuple[str, int]] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._tcp = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
+        super().__init__(
+            self.server.http_route, config.host, config.port, name="serve-http"
+        )
 
     def start(self) -> "ServerHandle":
-        self._thread = threading.Thread(
-            target=self._run, name="serve-http", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise RuntimeError("server failed to start within 10s")
-        return self
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def boot():
-            self.server.start()
-            self._tcp = await asyncio.start_server(
-                lambda r, w: _handle_connection(self.server, r, w),
-                host=self.config.host,
-                port=self.config.port,
-            )
-            self.address = self._tcp.sockets[0].getsockname()[:2]
-            self._ready.set()
-
-        try:
-            self._loop.run_until_complete(boot())
-            self._loop.run_forever()
-        finally:
-            self._ready.set()  # unblock start() even on boot failure
-            if self._tcp is not None:
-                self._tcp.close()
-                self._loop.run_until_complete(self._tcp.wait_closed())
-            self._loop.close()
+        self.server.start()
+        return super().start()
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        super().stop()
         self.server.stop()
-
-    def __enter__(self) -> "ServerHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -780,51 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8871)
-    parser.add_argument(
-        "--model",
-        default="toy",
-        choices=["toy"] + sorted(ARCHITECTURES),
-        help="model to serve (default: toy SmoothLinearClassifier)",
-    )
-    parser.add_argument("--height", type=int, default=8)
-    parser.add_argument("--width", type=int, default=8)
-    parser.add_argument("--classes", type=int, default=4, dest="num_classes")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=32, dest="max_batch_size")
-    parser.add_argument(
-        "--max-wait",
-        type=float,
-        default=0.002,
-        help="seconds the oldest pending query may wait before a flush",
-    )
-    parser.add_argument(
-        "--cache", type=_nonnegative_int, default=4096, dest="cache_size",
-        help="query-cache entries (0 disables caching)",
-    )
-    parser.add_argument(
-        "--freeze",
-        action="store_true",
-        help="serve network models on the inference fast path (folded "
-        "batch norms, reused buffers); no-op for the toy model",
-    )
-    parser.add_argument(
-        "--dtype",
-        choices=["float32", "float64"],
-        default=None,
-        help="cast network models for inference (float32 is ~2x faster "
-        "on CPU; scores differ from float64 in the last ulps)",
-    )
-    parser.add_argument(
-        "--latency",
-        type=float,
-        default=0.0,
-        help="simulated per-image model seconds (benchmark knob: makes "
-        "the toy model behave like a compute-bound replica)",
-    )
-    parser.add_argument("--max-sessions", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=16, dest="max_workers")
-    parser.add_argument("--rate", type=float, default=50.0)
-    parser.add_argument("--burst", type=float, default=20.0)
+    add_flags(parser, SERVE_FLAGS)
     parser.add_argument("--log", default=None, dest="log_path",
                         help="JSONL telemetry file")
     parser.add_argument(
@@ -849,13 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of a single process (same flags; see `repro cluster --help`)",
     )
     parser.add_argument(
-        "--scalar-steps",
-        action="store_true",
-        help="drive attacks with the legacy one-query-at-a-time stepping "
-        "protocol instead of batch-native QueryBatch stepping "
-        "(bit-identical results; differential escape hatch)",
-    )
-    parser.add_argument(
         "--shared-cache",
         nargs="?",
         const="auto",
@@ -874,121 +804,23 @@ def build_parser() -> argparse.ArgumentParser:
         dest="shared_cache_size",
         help="entries in the shared L2 bounded LRU (cluster mode)",
     )
-    parser.add_argument(
-        "--default-deadline",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline applied to submissions that omit "
-        "deadline_seconds; sessions past it park as 'expired' at their "
-        "next query boundary with exact query counts",
-    )
-    parser.add_argument(
-        "--max-deadline",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="hard cap on requested deadline_seconds (larger asks get 400)",
-    )
-    parser.add_argument(
-        "--session-ttl",
-        type=_positive_float,
-        default=None,
-        dest="session_ttl",
-        metavar="SECONDS",
-        help="reap finished sessions unpolled this long (polls then get "
-        "410 Gone); default keeps them until history eviction",
-    )
-    parser.add_argument(
-        "--idle-ttl",
-        type=_positive_float,
-        default=None,
-        dest="idle_ttl",
-        metavar="SECONDS",
-        help="cancel live sessions no client has polled for this long "
-        "(abandoned submissions stop burning model time)",
-    )
-    parser.add_argument(
-        "--reap-interval",
-        type=_positive_float,
-        default=1.0,
-        dest="reap_interval",
-        metavar="SECONDS",
-        help="cadence of the TTL reaper sweep (default 1s)",
-    )
-    parser.add_argument(
-        "--shed-queue-depth",
-        type=_positive_int,
-        default=None,
-        dest="shed_queue_depth",
-        metavar="N",
-        help="shed new submissions with 503 + Retry-After while the "
-        "broker queue holds >= N pending queries",
-    )
-    parser.add_argument(
-        "--shed-sessions",
-        type=_positive_int,
-        default=None,
-        dest="shed_sessions",
-        metavar="N",
-        help="shed new submissions with 503 + Retry-After while >= N "
-        "sessions are live (soft watermark below --max-sessions)",
-    )
-    parser.add_argument(
-        "--shed-retry-after",
-        type=_positive_float,
-        default=1.0,
-        dest="shed_retry_after",
-        metavar="SECONDS",
-        help="Retry-After value sent with shed (503) responses",
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    options = vars(args)
+    options = vars(build_parser().parse_args(argv))
     cluster_workers = options.pop("cluster")
     if cluster_workers:
         from repro.cluster.config import ClusterConfig
         from repro.cluster.router import run_cluster
 
-        return run_cluster(
-            ClusterConfig(
-                workers=cluster_workers,
-                host=options["host"],
-                port=options["port"],
-                model=options["model"],
-                height=options["height"],
-                width=options["width"],
-                num_classes=options["num_classes"],
-                seed=options["seed"],
-                freeze=options["freeze"],
-                dtype=options["dtype"],
-                latency=options["latency"],
-                max_batch_size=options["max_batch_size"],
-                max_wait=options["max_wait"],
-                cache_size=options["cache_size"],
-                max_sessions=options["max_sessions"],
-                max_threads=options["max_workers"],
-                rate=options["rate"],
-                burst=options["burst"],
-                checkpoint=options["checkpoint"],
-                resume=options["resume"],
-                log_path=options["log_path"],
-                scalar_steps=options["scalar_steps"],
-                shared_cache=options["shared_cache"] is not None,
-                shared_cache_size=options["shared_cache_size"],
-                default_deadline=options["default_deadline"],
-                max_deadline=options["max_deadline"],
-                session_ttl=options["session_ttl"],
-                idle_ttl=options["idle_ttl"],
-                reap_interval=options["reap_interval"],
-                shed_queue_depth=options["shed_queue_depth"],
-                shed_sessions=options["shed_sessions"],
-                shed_retry_after=options["shed_retry_after"],
-            )
+        # serve's --host/--port/--log/--checkpoint/--resume/--shared-cache*
+        # configure the router; everything else configures the replicas
+        options.update(
+            workers=cluster_workers,
+            shared_cache=options["shared_cache"] is not None,
         )
+        return run_cluster(ClusterConfig.from_options(options))
     if options["shared_cache"] == "auto":
         build_parser().error(
             "--shared-cache needs an explicit HOST:PORT outside --cluster "

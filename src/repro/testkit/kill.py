@@ -386,7 +386,7 @@ def hard_cluster_spec(image_seed: int = 1) -> Dict:
 
 
 def _cluster_submit(address, spec: Dict) -> Dict:
-    from repro.cluster.workers import http_json
+    from repro.runtime.http import http_json
 
     status, payload = http_json(
         address, "POST", "/attacks", body=json.dumps(spec).encode("utf-8")
@@ -398,7 +398,7 @@ def _cluster_submit(address, spec: Dict) -> Dict:
 
 def _cluster_poll(address, session_id: str) -> Optional[Dict]:
     """One poll; ``None`` during rebalance windows (503) or hiccups."""
-    from repro.cluster.workers import http_json
+    from repro.runtime.http import http_json
 
     try:
         status, payload = http_json(address, "GET", f"/attacks/{session_id}")
@@ -448,16 +448,17 @@ def kill_worker_and_rebalance(
             "rebalanced_sessions": <sessions the router re-placed>,
         }
     """
+    from dataclasses import replace
+
     from repro.cluster.config import ClusterConfig
     from repro.cluster.router import ClusterHandle
+    from repro.serve.server import ServeConfig
 
     spec = hard_cluster_spec()
-    base = dict(
-        port=0, height=6, width=6, num_classes=3, seed=1,
-        heartbeat=0.2, backoff=0.2,
-    )
+    serve = ServeConfig(height=6, width=6, num_classes=3, seed=1)
+    base = dict(port=0, heartbeat=0.2, backoff=0.2)
 
-    with ClusterHandle(ClusterConfig(workers=1, **base)) as tier:
+    with ClusterHandle(ClusterConfig(workers=1, serve=serve, **base)) as tier:
         accepted = _cluster_submit(tier.address, spec)
         final = _wait_session(
             tier.address, accepted["id"],
@@ -466,7 +467,9 @@ def kill_worker_and_rebalance(
         golden = final["result"]["queries"]
 
     with ClusterHandle(
-        ClusterConfig(workers=workers, latency=latency, **base)
+        ClusterConfig(
+            workers=workers, serve=replace(serve, latency=latency), **base
+        )
     ) as tier:
         accepted = _cluster_submit(tier.address, spec)
         owner = accepted["worker"]
@@ -524,24 +527,25 @@ def cancel_and_kill_cluster(
     ``ok`` key ands every invariant.
     """
     import tempfile
+    from dataclasses import replace
 
     from repro.cluster.config import ClusterConfig
     from repro.cluster.router import ClusterHandle, open_sessions_from_records
-    from repro.cluster.workers import http_json
     from repro.runtime.checkpoint import CheckpointStore
+    from repro.runtime.http import http_json
+    from repro.serve.server import ServeConfig
     from repro.testkit.lifecycle import toy_lifecycle_runner
 
     workdir = workdir or tempfile.mkdtemp(prefix="repro-lifecycle-")
     checkpoint = os.path.join(workdir, "ledger")
-    base = dict(
-        port=0, height=6, width=6, num_classes=3, seed=1,
-        heartbeat=0.2, backoff=0.2,
-    )
+    serve = ServeConfig(height=6, width=6, num_classes=3, seed=1)
+    base = dict(port=0, heartbeat=0.2, backoff=0.2)
     victim_seed, survivor_seed = HARD_IMAGE_SEEDS[0], HARD_IMAGE_SEEDS[1]
 
     with ClusterHandle(
         ClusterConfig(
-            workers=workers, latency=latency, checkpoint=checkpoint, **base
+            workers=workers, serve=replace(serve, latency=latency),
+            checkpoint=checkpoint, **base,
         )
     ) as tier:
         victim = _cluster_submit(tier.address, hard_cluster_spec(victim_seed))
@@ -574,7 +578,9 @@ def cancel_and_kill_cluster(
     still_open = open_sessions_from_records(records)
 
     with ClusterHandle(
-        ClusterConfig(workers=1, checkpoint=checkpoint, resume=True, **base)
+        ClusterConfig(
+            workers=1, serve=serve, checkpoint=checkpoint, resume=True, **base
+        )
     ) as resumed_tier:
         _, listing = resumed_tier.router.list_sessions()
         resumed_sessions = len(listing.get("sessions", []))

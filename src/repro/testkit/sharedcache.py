@@ -243,11 +243,13 @@ def live_shared_cache_smoke(
     the golden query count (cache hits are still counted), and the
     cluster ``/metrics`` rollup must report ``l2_hits > 0``: the second
     replica's misses were answered by the first replica's
-    write-through.
+    write-through.  The tier's drain must then stop every process --
+    workers and the ``l2cache`` service -- with exit code 0.
     """
     from repro.cluster.config import ClusterConfig
     from repro.cluster.router import ClusterHandle
-    from repro.cluster.workers import http_json
+    from repro.runtime.http import http_json
+    from repro.serve.server import ServeConfig
     from repro.testkit.kill import (
         _cluster_submit,
         _wait_session,
@@ -256,8 +258,8 @@ def live_shared_cache_smoke(
 
     spec = hard_cluster_spec()
     base = dict(
-        port=0, height=6, width=6, num_classes=3, seed=1,
-        heartbeat=0.2, backoff=0.2,
+        port=0, heartbeat=0.2, backoff=0.2,
+        serve=ServeConfig(height=6, width=6, num_classes=3, seed=1),
     )
 
     with ClusterHandle(ClusterConfig(workers=1, **base)) as tier:
@@ -299,16 +301,21 @@ def live_shared_cache_smoke(
                 break
             time.sleep(0.2)
         shared_slot = (rollup.get("shared_cache") or {}).get("slot")
+        exit_codes = tier.drain()["exit_codes"]
 
     counts_golden = all(s["queries"] == golden for s in sessions)
+    clean_exit = all(code == 0 for code in exit_codes.values())
     return {
         "golden_queries": golden,
         "sessions": sessions,
         "distinct_workers": sorted(served_by),
         "l2_hits": l2_hits,
         "shared_cache_slot": shared_slot,
+        "exit_codes": exit_codes,
         "identical": counts_golden,
-        "ok": counts_golden and len(served_by) >= 2 and l2_hits > 0,
+        "ok": (
+            counts_golden and len(served_by) >= 2 and l2_hits > 0 and clean_exit
+        ),
     }
 
 

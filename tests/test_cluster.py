@@ -29,6 +29,7 @@ from repro.cluster.metrics import (
 )
 from repro.cluster.router import ClusterRouter, open_sessions_from_records
 from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore
+from repro.serve.server import ServeConfig
 
 
 class TestHashRing:
@@ -193,10 +194,10 @@ class TestClusterConfig:
             ClusterConfig(backoff=-0.1)
 
     def test_worker_argv_is_a_repro_serve_invocation(self):
-        config = ClusterConfig(
+        config = ClusterConfig(serve=ServeConfig(
             model="toy", height=6, width=6, num_classes=3, seed=1,
             latency=0.02, freeze=True, dtype="float32",
-        )
+        ))
         argv = worker_argv(config, 9999)
         assert argv[1:3] == ["-m", "repro.serve"]
         assert "--port" in argv and "9999" in argv
@@ -207,7 +208,7 @@ class TestClusterConfig:
         assert "--checkpoint" not in argv and "--resume" not in argv
 
     def test_manifest_pins_model_identity(self):
-        manifest = ClusterConfig(seed=3).manifest()
+        manifest = ClusterConfig(serve=ServeConfig(seed=3)).manifest()
         assert manifest["kind"] == "cluster"
         assert manifest["seed"] == 3
 
@@ -252,10 +253,12 @@ class TestRouterTable:
 
     def test_ledger_manifest_guard(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        store.write_manifest(ClusterConfig(seed=1).manifest())
+        store.write_manifest(ClusterConfig(serve=ServeConfig(seed=1)).manifest())
         store.close()
         router = ClusterRouter(
-            ClusterConfig(workers=1, seed=2, checkpoint=str(tmp_path))
+            ClusterConfig(
+                workers=1, serve=ServeConfig(seed=2), checkpoint=str(tmp_path)
+            )
         )
         with pytest.raises(CheckpointMismatch):
             router.ledger.reconcile_manifest(router.config.manifest())
@@ -296,13 +299,13 @@ def _wait_done(base, session_id, timeout=60.0):
     raise AssertionError(f"session {session_id} never finished")
 
 
-def _tier_config(**overrides):
-    settings = dict(
-        workers=2, port=0, height=6, width=6, num_classes=3, seed=1,
-        heartbeat=0.2, backoff=0.2,
-    )
+def _tier_config(latency=0.0, **overrides):
+    settings = dict(workers=2, port=0, heartbeat=0.2, backoff=0.2)
     settings.update(overrides)
-    return ClusterConfig(**settings)
+    serve = ServeConfig(
+        height=6, width=6, num_classes=3, seed=1, latency=latency
+    )
+    return ClusterConfig(serve=serve, **settings)
 
 
 @pytest.fixture
@@ -657,6 +660,9 @@ class TestSharedCacheTier:
         assert len(verdict["distinct_workers"]) >= 2, verdict
         assert verdict["l2_hits"] > 0, verdict
         assert verdict["ok"], verdict
+        # every process the drain stopped exited 0, the cache service too
+        assert "l2cache" in verdict["exit_codes"], verdict
+        assert all(code == 0 for code in verdict["exit_codes"].values()), verdict
 
 
 class TestLifecycleRouting:
@@ -756,7 +762,8 @@ class TestLifecycleRouting:
 
         router = ClusterRouter(
             ClusterConfig(
-                workers=1, shed_open_sessions=1, shed_retry_after=2.0
+                workers=1, shed_open_sessions=1,
+                serve=ServeConfig(shed_retry_after=2.0),
             )
         )
         router.ring.add("w0")
@@ -790,11 +797,11 @@ class TestLifecycleRouting:
         assert rollup["unscraped"] == ["w2"]
 
     def test_worker_argv_carries_lifecycle_flags(self):
-        config = ClusterConfig(
-            workers=1, default_deadline=5.0, max_deadline=10.0,
+        config = ClusterConfig(workers=1, serve=ServeConfig(
+            default_deadline=5.0, max_deadline=10.0,
             session_ttl=30.0, idle_ttl=60.0, reap_interval=0.5,
             shed_queue_depth=128, shed_sessions=32, shed_retry_after=2.0,
-        )
+        ))
         argv = worker_argv(config, 9000)
         assert argv[argv.index("--default-deadline") + 1] == "5.0"
         assert argv[argv.index("--max-deadline") + 1] == "10.0"

@@ -242,7 +242,7 @@ class TestRestore:
     def test_bad_spec_is_skipped_not_fatal(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         server = AttackServer(_config(tmp_path))
-        store.write_manifest(server._checkpoint_manifest())
+        store.write_manifest(server.config.manifest())
         store.append(
             {
                 "kind": "session",

@@ -157,7 +157,7 @@ class TestCacheService:
             assert found[key].dtype == scores.dtype
 
     def test_healthz_and_metrics(self):
-        from repro.cluster.workers import http_json
+        from repro.runtime.http import http_json
 
         with CacheServiceHandle(maxsize=16) as handle:
             status, payload = http_json(handle.address, "GET", "/healthz")
@@ -172,7 +172,7 @@ class TestCacheService:
             assert stats["store_calls"] == 1
 
     def test_unknown_paths_and_bad_payloads(self):
-        from repro.cluster.workers import http_json
+        from repro.runtime.http import http_json
 
         with CacheServiceHandle(maxsize=16) as handle:
             status, _ = http_json(handle.address, "GET", "/nope")
