@@ -28,7 +28,7 @@ _EXPORTS = {
     "ClusterHandle": "repro.cluster.router",
     "ClusterRouter": "repro.cluster.router",
     "ClusterSupervisor": "repro.cluster.router",
-    "open_sessions_from_records": "repro.cluster.router",
+    "open_sessions_from_records": "repro.runtime.checkpoint",
     "run_cluster": "repro.cluster.router",
     "WorkerProcess": "repro.cluster.workers",
     "free_port": "repro.cluster.workers",

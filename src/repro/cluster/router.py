@@ -28,7 +28,10 @@ replicas.  The durable record backing this is the router's *ledger*, a
 :class:`~repro.runtime.checkpoint.CheckpointStore` of submitted specs
 and completion markers: it survives worker crashes trivially (it never
 lived in a worker) and lets a whole restarted tier resume its open
-sessions with ``--resume``.
+sessions with ``--resume``.  In memory the router mirrors it with one
+session table and an index of the open entries; every terminal answer
+settles through one path (:meth:`ClusterRouter._settle`) that records
+the final once and closes the session's ledger record.
 
 **Aggregation.**  ``/metrics`` scrapes every live worker and folds the
 snapshots into a cluster plane (:mod:`repro.cluster.metrics`), and every
@@ -44,37 +47,39 @@ import json
 import signal
 import threading
 import time
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.cacheservice import cacheservice_argv
 from repro.cluster.config import ClusterConfig, worker_argv
 from repro.cluster.hashing import HashRing
 from repro.cluster.metrics import aggregate_worker_metrics
 from repro.cluster.workers import BOOTING, DEAD, LIVE, WorkerProcess, free_port
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, open_sessions_from_records
 from repro.runtime.events import RunLog
 from repro.runtime.http import FrontEndHandle, http_json, stop_signals
-from repro.serve.server import WORKER_FLAGS, _positive_int, add_flags
+from repro.serve.server import SWEEP_HEADER, WORKER_FLAGS, _positive_int, add_flags
+from repro.serve.sessions import DEFAULT_HISTORY, TERMINAL_STATES
 
 #: Router requests in flight at once.  Each blocks a thread on worker
 #: round trips; asyncio's default executor (min(32, cpus + 4) threads)
 #: would let a few stalled workers starve /healthz and every other poll.
 _ROUTE_THREADS = 512
 
-#: Terminal session states, as reported by workers.
-_TERMINAL = ("done", "failed", "cancelled", "expired")
-
 
 class SessionEntry:
-    """The router's record of one session: enough to route and rebuild."""
+    """The router's record of one session: enough to route and rebuild.
+
+    The session is open until :attr:`final` is set; an open entry with
+    no :attr:`worker` awaits (re)placement.
+    """
 
     __slots__ = (
         "session_id",
         "spec",
         "client",
         "worker",
-        "done",
         "final",
         "accepted_at",
         "deadline_seconds",
@@ -88,13 +93,15 @@ class SessionEntry:
         worker: Optional[str],
     ):
         self.session_id = session_id
+        #: The submitted request; dropped once the session settles (only
+        #: open sessions are ever re-submitted).
         self.spec = spec
         self.client = client
         #: Owning worker slot name; ``None`` while awaiting (re)placement.
         self.worker = worker
-        self.done = False
-        #: Cached terminal payload, so a finished session stays pollable
-        #: even after its worker dies.
+        #: The terminal payload, recorded once by
+        #: :meth:`ClusterRouter._settle`, so a settled session stays
+        #: pollable even after its worker dies.
         self.final: Optional[Dict] = None
         #: When the router accepted (or restored) this session; with
         #: :attr:`deadline_seconds` it lets a rebalance hand the new
@@ -106,28 +113,6 @@ class SessionEntry:
             if isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
             else None
         )
-
-
-def open_sessions_from_records(records: List[Dict]) -> Dict[str, Dict]:
-    """Ledger records -> still-open session records, by id.
-
-    A session is open when its ``session`` record has no later
-    ``session_done`` marker.  Later ``session`` records win on duplicate
-    ids (a rebalance re-appends the spec it re-submitted).
-    """
-    sessions: Dict[str, Dict] = {}
-    finished = set()
-    for record in records:
-        kind = record.get("kind")
-        if kind == "session":
-            sessions[record["id"]] = record
-        elif kind == "session_done":
-            finished.add(record["id"])
-    return {
-        session_id: record
-        for session_id, record in sessions.items()
-        if session_id not in finished
-    }
 
 
 class ClusterRouter:
@@ -170,11 +155,15 @@ class ClusterRouter:
         # Serializes rebalance ticks: tick_rebalance is reachable from
         # the supervisor sweep, _declare_dead, and resume_sessions, and
         # its forward-submit runs outside _lock -- unserialized, two
-        # concurrent ticks could claim the same pending session.
+        # concurrent ticks could place the same session.
         self._rebalance_lock = threading.Lock()
+        #: The session table, in submission order: every open session
+        #: and the last DEFAULT_HISTORY settled ones.
         self._sessions: Dict[str, SessionEntry] = {}
-        self._order: List[str] = []  # submission order, for listing
-        self._pending: List[str] = []  # session ids awaiting (re)placement
+        #: The open index: entries not yet settled, by id.
+        self._open: Dict[str, SessionEntry] = {}
+        #: Settled ids, oldest first: the table forgets from the left.
+        self._history: Deque[str] = deque()
         self._next_id = 1
         self._boot_deadlines: Dict[str, float] = {}
         self._sweeps = 0  # supervise_once invocations (terminal-sweep cadence)
@@ -182,11 +171,9 @@ class ClusterRouter:
         self.routed = 0
         self.rebalanced_sessions = 0
         self.deaths = 0
-        # router-level lifecycle counters (worker-level ones are summed
-        # from /metrics scrapes; these count router-settled outcomes)
-        self.cancelled_sessions = 0
-        self.expired_sessions = 0
-        self.reaped_sessions = 0
+        #: Router-settled sessions by final state (worker-level lifecycle
+        #: counters are summed from /metrics scrapes).
+        self.settled: Counter = Counter()
         self.shed_submits = 0
 
     # ------------------------------------------------------------------
@@ -232,6 +219,10 @@ class ClusterRouter:
             )
         if self.config.resume:
             self.resume_sessions()
+        elif self.ledger is not None:
+            # the records stay for a later --resume; new ids skip theirs
+            for record in self.ledger.records()[0]:
+                self._note_restored_id(record.get("id", ""))
         return self
 
     def shutdown_workers(self) -> Dict[str, Optional[int]]:
@@ -257,22 +248,18 @@ class ClusterRouter:
         query counts.  Returns an operator summary.
         """
         self.draining = True
-        # Before the workers go away, reap sessions that reached a
+        # Before the workers go away, settle sessions that reached a
         # terminal state without a client ever polling them: unswept,
         # their ledger records stay open forever and --resume re-runs
         # the full attack (a budget-sized amount of wasted work).
         swept = self.sweep_terminal_sessions()
         exit_codes = self.shutdown_workers()
         with self._lock:
-            open_ids = [
-                entry.session_id
-                for entry in self._sessions.values()
-                if not entry.done
-            ]
+            open_count = len(self._open)
         summary = {
             "workers": len(self.workers),
-            "open": len(open_ids),
-            "durable": len(open_ids) if self.ledger is not None else 0,
+            "open": open_count,
+            "durable": open_count if self.ledger is not None else 0,
             "swept": swept,
             "exit_codes": exit_codes,
         }
@@ -293,7 +280,7 @@ class ClusterRouter:
         return None
 
     # ------------------------------------------------------------------
-    # routing
+    # the session table
     # ------------------------------------------------------------------
 
     def _generate_id(self) -> str:
@@ -303,9 +290,74 @@ class ClusterRouter:
             return session_id
 
     def _note_restored_id(self, session_id: str) -> None:
+        """Start new ids past ``session_id``, so a new session never
+        takes an id the ledger already holds (nor its ``session_done``)."""
         if session_id.startswith("c") and session_id[1:].isdigit():
             with self._lock:
                 self._next_id = max(self._next_id, int(session_id[1:]) + 1)
+
+    def _record_open(self, entry: SessionEntry, spec: Dict) -> None:
+        """Append the ledger ``session`` record that keeps ``entry`` open."""
+        if self.ledger is not None:
+            self.ledger.append(
+                {
+                    "kind": "session",
+                    "id": entry.session_id,
+                    "client": entry.client,
+                    "spec": spec,
+                }
+            )
+
+    def _settle(
+        self, entry: SessionEntry, final: Dict, event: Optional[str] = None, **fields
+    ) -> Dict:
+        """Record ``entry``'s terminal payload once; returns the recorded one.
+
+        The one path every terminal answer takes -- a forwarded poll, a
+        DELETE reply, the terminal sweep, a worker's 410, a cancel or a
+        deadline that lands before placement.  The first call counts the
+        final state, drops the spec, forgets settled entries beyond
+        ``DEFAULT_HISTORY`` (oldest first, as each worker does), closes
+        the ledger record and emits ``event``; later calls change
+        nothing, so a settled session's answer never changes.
+        """
+        with self._lock:
+            if entry.final is not None:
+                return entry.final
+            entry.final, entry.spec = final, None
+            del self._open[entry.session_id]
+            self.settled[final["state"]] += 1
+            self._history.append(entry.session_id)
+            while len(self._history) > DEFAULT_HISTORY:
+                self._sessions.pop(self._history.popleft(), None)
+        if self.ledger is not None:
+            self.ledger.append({"kind": "session_done", "id": entry.session_id})
+        if event is not None:
+            self.run_log.emit(event, session=entry.session_id, **fields)
+        return final
+
+    def _settle_here(
+        self,
+        entry: SessionEntry,
+        state: str,
+        worker: Optional[str] = None,
+        error: Optional[str] = None,
+    ) -> Dict:
+        """Settle with a final the router builds itself (no worker payload)."""
+        final = {
+            "id": entry.session_id,
+            "state": state,
+            "queries": None,
+            "worker": worker,
+        }
+        if error is not None:
+            final["error"] = error
+        where = {"worker": worker} if worker is not None else {"pending": True}
+        return self._settle(entry, final, f"session_{state}", **where)
+
+    # ------------------------------------------------------------------
+    # routing
+    # ------------------------------------------------------------------
 
     def submit(self, body: bytes, client: str) -> Tuple[int, Dict]:
         """Route one ``POST /attacks`` to its replica by consistent hash."""
@@ -317,20 +369,15 @@ class ClusterRouter:
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(spec, dict):
             return 400, {"error": "request body must be a JSON object"}
-        if self.config.shed_open_sessions is not None:
+        watermark = self.config.shed_open_sessions
+        if watermark is not None:
             with self._lock:
-                open_count = sum(
-                    1 for entry in self._sessions.values() if not entry.done
-                )
-                overloaded = open_count >= self.config.shed_open_sessions
-                if overloaded:
+                open_count = len(self._open)
+                if open_count >= watermark:
                     self.shed_submits += 1
-            if overloaded:
+            if open_count >= watermark:
                 return 503, {
-                    "error": (
-                        f"overloaded: {open_count} open sessions >= "
-                        f"{self.config.shed_open_sessions}"
-                    ),
+                    "error": f"overloaded: {open_count} open sessions >= {watermark}",
                     "retry_after": self.config.serve.shed_retry_after,
                 }
         session_id = self._generate_id()
@@ -343,46 +390,51 @@ class ClusterRouter:
             return status, payload
         entry = SessionEntry(session_id, spec, client, owner)
         with self._lock:
-            self._sessions[session_id] = entry
-            self._order.append(session_id)
+            self._sessions[session_id] = self._open[session_id] = entry
             self.routed += 1
             if owner not in self.ring:
-                # the owner died between forward and commit; queue the
-                # session for rebalance instead of stranding it
+                # the owner died between forward and commit; leave the
+                # session unowned for the next rebalance tick
                 entry.worker = None
-                self._pending.append(session_id)
-        if self.ledger is not None:
-            self.ledger.append(
-                {"kind": "session", "id": session_id, "client": client, "spec": spec}
-            )
-        payload = dict(payload)
-        payload["worker"] = entry.worker
-        return 202, payload
+        self._record_open(entry, spec)
+        return 202, dict(payload, worker=entry.worker)
+
+    def _ask(
+        self, slot: WorkerProcess, method: str, path: str, unreachable: str = "",
+        **request,
+    ) -> Tuple[int, Dict]:
+        """One round trip to ``slot``; a transport error is a 503."""
+        try:
+            return http_json(slot.address, method, path, **request)
+        except OSError:
+            return 503, {
+                "error": f"worker {slot.name} unreachable{unreachable}",
+                "retry_after": 1,
+            }
 
     def _forward_submit(
         self, owner: str, session_id: str, spec: Dict, client: Optional[str]
     ) -> Tuple[int, Dict]:
-        worker = self.worker_named(owner)
-        if worker is None:
-            return 503, {"error": f"no such worker: {owner}", "retry_after": 1}
         headers = {"X-Session-Id": session_id}
         if client:
             headers["X-Client-Id"] = client
-        try:
-            return http_json(
-                worker.address,
-                "POST",
-                "/attacks",
-                body=json.dumps(spec).encode("utf-8"),
-                headers=headers,
-            )
-        except OSError:
-            return 503, {
-                "error": f"worker {owner} unreachable",
-                "retry_after": 1,
-            }
+        body = json.dumps(spec).encode("utf-8")
+        return self._ask(
+            self.worker_named(owner), "POST", "/attacks", body=body, headers=headers
+        )
 
-    def get_session(self, session_id: str) -> Tuple[int, Dict]:
+    def _relay(self, session_id: str, method: str, **request) -> Tuple[int, Dict]:
+        """Answer a session from its final, or ask its owner and settle.
+
+        The one way a poll (``GET``), a ``DELETE`` and the terminal
+        sweep reach a worker.  A settled session answers from its
+        recorded final with no round trip.  An unowned one has no live
+        generator anywhere: a ``DELETE`` settles it ``cancelled`` here,
+        a poll gets 503 until it is placed.  A terminal answer (tagged
+        with the worker) settles the session, and so does a 410 -- the
+        worker's TTL reaper forgot it before anyone collected its final
+        -- as ``reaped``, so the ledger closes either way.
+        """
         with self._lock:
             entry = self._sessions.get(session_id)
             if entry is None:
@@ -390,172 +442,85 @@ class ClusterRouter:
             if entry.final is not None:
                 return 200, entry.final
             owner = entry.worker
+        if owner is None and method == "DELETE":
+            return 200, self._settle_here(entry, "cancelled")
         if owner is None:
             return 503, {
                 "error": f"session {session_id} is being rebalanced",
                 "retry_after": 1,
             }
-        worker = self.worker_named(owner)
-        try:
-            status, payload = http_json(
-                worker.address, "GET", f"/attacks/{session_id}"
-            )
-        except OSError:
-            return 503, {
-                "error": f"worker {owner} unreachable; session will rebalance",
-                "retry_after": 1,
-            }
+        unreachable = (
+            "; retry cancellation" if method == "DELETE" else "; session will rebalance"
+        )
+        status, payload = self._ask(
+            self.worker_named(owner), method, f"/attacks/{session_id}",
+            unreachable, **request,
+        )
         if status == 410:
-            # The worker's TTL reaper swept the session before any client
-            # collected its terminal state: settle it at the router so the
-            # ledger closes and --resume does not re-run finished work.
-            return 200, self._reaped_final(entry, owner)
-        if status == 200:
-            payload = dict(payload)
-            payload["worker"] = owner
-            if payload.get("state") in _TERMINAL:
-                self._mark_done(entry, payload)
+            return 200, self._settle_here(
+                entry, "reaped", owner,
+                "session reaped by worker TTL before a terminal poll",
+            )
+        if status in (200, 202):
+            payload = dict(payload, worker=owner)
+            if payload.get("state") in TERMINAL_STATES:
+                payload = self._settle(entry, payload)
         return status, payload
+
+    def get_session(self, session_id: str) -> Tuple[int, Dict]:
+        """``GET /attacks/<id>``: the sticky owner's answer, or the final."""
+        return self._relay(session_id, "GET")
 
     def cancel_session(self, session_id: str) -> Tuple[int, Dict]:
         """``DELETE /attacks/<id>``: forward to the sticky owner.
 
         Mirrors the worker's semantics (202 cancellation requested, 200
-        already terminal) and covers the router-only cases: a session
-        awaiting (re)placement has no live generator anywhere, so the
-        router settles the cancellation locally and closes its ledger
-        record; a session the worker already reaped becomes a synthetic
-        ``reaped`` final.
+        already terminal); a session awaiting (re)placement is settled
+        as cancelled by the router itself (see :meth:`_relay`).
         """
-        with self._lock:
-            entry = self._sessions.get(session_id)
-            if entry is None:
-                return 404, {"error": f"no such session: {session_id}"}
-            if entry.final is not None:
-                return 200, entry.final
-            owner = entry.worker
-            if owner is None and session_id in self._pending:
-                self._pending.remove(session_id)
-        if owner is None:
-            final = {
-                "id": session_id,
-                "state": "cancelled",
-                "queries": None,
-                "worker": None,
-            }
-            self._mark_done(entry, final)
-            self.run_log.emit(
-                "session_cancelled", session=session_id, pending=True
-            )
-            return 200, final
-        worker = self.worker_named(owner)
-        try:
-            status, payload = http_json(
-                worker.address, "DELETE", f"/attacks/{session_id}"
-            )
-        except OSError:
-            return 503, {
-                "error": f"worker {owner} unreachable; retry cancellation",
-                "retry_after": 1,
-            }
-        if status == 410:
-            return 200, self._reaped_final(entry, owner)
-        if status in (200, 202):
-            payload = dict(payload)
-            payload["worker"] = owner
-            if payload.get("state") in _TERMINAL:
-                self._mark_done(entry, payload)
-        return status, payload
-
-    def _reaped_final(self, entry: SessionEntry, owner: Optional[str]) -> Dict:
-        final = {
-            "id": entry.session_id,
-            "state": "reaped",
-            "queries": None,
-            "worker": owner,
-            "error": "session reaped by worker TTL before a terminal poll",
-        }
-        self._mark_done(entry, final)
-        self.run_log.emit("session_reaped", session=entry.session_id, worker=owner)
-        return final
-
-    def _mark_done(self, entry: SessionEntry, payload: Dict) -> None:
-        with self._lock:
-            first = not entry.done
-            entry.done = True
-            entry.final = payload
-            if first:
-                state = payload.get("state")
-                if state == "cancelled":
-                    self.cancelled_sessions += 1
-                elif state == "expired":
-                    self.expired_sessions += 1
-                elif state == "reaped":
-                    self.reaped_sessions += 1
-        if first and self.ledger is not None:
-            self.ledger.append({"kind": "session_done", "id": entry.session_id})
+        return self._relay(session_id, "DELETE")
 
     def sweep_terminal_sessions(self) -> int:
-        """Reap terminal-but-never-polled sessions from live workers.
+        """Settle terminal-but-never-polled sessions on live workers.
 
-        Client polls are the normal path to :meth:`_mark_done`; a client
+        Client polls are the normal path to :meth:`_settle`; a client
         that submits and walks away leaves its finished session's ledger
         record open, so a later ``--resume`` would re-run the whole
-        attack.  This sweep asks each live worker about every not-done
-        session it owns and marks the terminal ones done (caching the
-        final payload, closing the ledger record).  Read-only on the
-        workers; returns how many sessions were reaped.
+        attack.  This sweep relays one read per open owned session and
+        settles the terminal ones.  The reads carry ``SWEEP_HEADER``:
+        they are not client polls, so they do not defer a worker's
+        ``--idle-ttl`` reaper.  Returns how many sessions it settled.
         """
         with self._lock:
-            candidates = [
-                (entry.session_id, entry.worker)
-                for entry in self._sessions.values()
-                if not entry.done and entry.worker is not None
+            owned = [
+                (entry, entry.worker)
+                for entry in self._open.values()
+                if entry.worker is not None
             ]
         swept = 0
-        for session_id, owner in candidates:
-            worker = self.worker_named(owner)
-            if worker is None or worker.state != LIVE:
-                continue
-            try:
-                status, payload = http_json(
-                    worker.address, "GET", f"/attacks/{session_id}", timeout=5.0
-                )
-            except OSError:
-                continue  # the supervisor sweep will handle this worker
-            if status == 410:
-                with self._lock:
-                    entry = self._sessions.get(session_id)
-                    if entry is None or entry.done:
-                        continue
-                self._reaped_final(entry, owner)
+        for entry, owner in owned:
+            if self.worker_named(owner).state != LIVE or entry.final is not None:
+                continue  # the supervisor sweep handles dead workers
+            self._relay(
+                entry.session_id, "GET", headers={SWEEP_HEADER: "1"}, timeout=5.0
+            )
+            if entry.final is not None:
                 swept += 1
-                continue
-            if status != 200 or payload.get("state") not in _TERMINAL:
-                continue
-            with self._lock:
-                entry = self._sessions.get(session_id)
-                if entry is None or entry.done:
-                    continue
-            payload = dict(payload)
-            payload["worker"] = owner
-            self._mark_done(entry, payload)
-            swept += 1
         if swept:
             self.run_log.emit("terminal_sweep", sessions=swept)
         return swept
 
     def list_sessions(self, limit: int = 200) -> Tuple[int, Dict]:
         with self._lock:
-            recent = self._order[-limit:][::-1]
+            recent = list(self._sessions.values())[-limit:][::-1]
             sessions = [
                 {
-                    "id": session_id,
-                    "worker": self._sessions[session_id].worker,
-                    "done": self._sessions[session_id].done,
-                    "client": self._sessions[session_id].client,
+                    "id": entry.session_id,
+                    "worker": entry.worker,
+                    "done": entry.final is not None,
+                    "client": entry.client,
                 }
-                for session_id in recent
+                for entry in recent
             ]
         return 200, {"sessions": sessions}
 
@@ -570,19 +535,15 @@ class ClusterRouter:
         }
 
     def metrics(self) -> Tuple[int, Dict]:
-        per_worker: Dict[str, Optional[Dict]] = {}
-        for worker in self.workers:
-            if worker.state != LIVE:
-                per_worker[worker.name] = None
-                continue
-            try:
-                status, payload = http_json(
-                    worker.address, "GET", "/metrics", timeout=5.0
-                )
-                per_worker[worker.name] = payload if status == 200 else None
-            except OSError:
-                per_worker[worker.name] = None
-        rollup = aggregate_worker_metrics(per_worker)
+        slots = self._slots()
+        scraped: Dict[str, Optional[Dict]] = dict.fromkeys(s.name for s in slots)
+        for slot in slots:
+            if slot.state == LIVE:
+                status, payload = self._ask(slot, "GET", "/metrics", timeout=5.0)
+                scraped[slot.name] = payload if status == 200 else None
+        rollup = aggregate_worker_metrics(
+            {worker.name: scraped[worker.name] for worker in self.workers}
+        )
         with self._lock:
             rollup["cluster"] = {
                 "workers": [worker.describe() for worker in self.workers],
@@ -591,27 +552,20 @@ class ClusterRouter:
                 "rebalanced_sessions": self.rebalanced_sessions,
                 "deaths": self.deaths,
                 "restarts": sum(worker.restarts for worker in self.workers),
-                "pending_rebalance": len(self._pending),
+                "pending_rebalance": sum(
+                    1 for entry in self._open.values() if entry.worker is None
+                ),
                 "sessions_tracked": len(self._sessions),
-                "cancelled_sessions": self.cancelled_sessions,
-                "expired_sessions": self.expired_sessions,
-                "reaped_sessions": self.reaped_sessions,
+                "cancelled_sessions": self.settled["cancelled"],
+                "expired_sessions": self.settled["expired"],
+                "reaped_sessions": self.settled["reaped"],
                 "shed_submits": self.shed_submits,
             }
         if self.cache_service is not None:
-            service_stats = None
-            if self.cache_service.state == LIVE:
-                try:
-                    status, payload = http_json(
-                        self.cache_service.address, "GET", "/metrics", timeout=5.0
-                    )
-                    if status == 200:
-                        service_stats = payload.get("shared_cache")
-                except OSError:
-                    pass
+            service = scraped[self.cache_service.name]
             rollup["shared_cache"] = {
                 "slot": self.cache_service.describe(),
-                "service": service_stats,
+                "service": None if service is None else service.get("shared_cache"),
             }
         return 200, rollup
 
@@ -688,11 +642,11 @@ class ClusterRouter:
     def _declare_dead(self, slot: WorkerProcess, reason: str) -> None:
         """Make a slot's death real and schedule its restart.
 
-        A dead worker also leaves the ring and queues its open sessions
-        for rebalance.  A dead cache service is never an emergency --
-        every worker silently degrades to private-L1 behaviour and
-        re-probes after its cooldown -- so it only costs shared hits,
-        and its restart (same port) needs no coordination.
+        A dead worker also leaves the ring, and its open sessions become
+        unowned, awaiting rebalance.  A dead cache service is never an
+        emergency -- every worker silently degrades to private-L1
+        behaviour and re-probes after its cooldown -- so it only costs
+        shared hits, and its restart (same port) needs no coordination.
         """
         if slot.state == DEAD:
             return
@@ -701,15 +655,14 @@ class ClusterRouter:
             slot.kill()  # unresponsive but alive: make death real
         is_worker = slot is not self.cache_service
         if is_worker:
-            orphaned: List[str] = []
             with self._lock:
                 self.ring.remove(slot.name)
                 self.deaths += 1
-                for entry in self._sessions.values():
-                    if entry.worker == slot.name and not entry.done:
-                        entry.worker = None
-                        orphaned.append(entry.session_id)
-                self._pending.extend(orphaned)
+                orphaned = [
+                    entry for entry in self._open.values() if entry.worker == slot.name
+                ]
+                for entry in orphaned:
+                    entry.worker = None
             self._slot_event(
                 slot, "death", reason=reason, orphaned_sessions=len(orphaned)
             )
@@ -736,113 +689,70 @@ class ClusterRouter:
         self._slot_event(slot, "restart", restarts=slot.restarts, pid=slot.pid)
 
     def tick_rebalance(self) -> int:
-        """Try to place every orphaned session on a survivor.
+        """Try to place every open session that has no worker.
 
-        Re-submits each pending session's original spec under its
-        original id; the deterministic attack re-runs from the start on
-        the new replica, so its final query count matches an
-        uninterrupted run exactly.  Sessions that cannot be placed yet
-        (no live workers, capacity 429s, transport errors) stay pending
-        for the next sweep.  Returns how many sessions were placed.
+        Re-submits each one's original spec under its original id; the
+        deterministic attack re-runs from the start on the new replica,
+        so its final query count matches an uninterrupted run exactly.
+        Deadlines ride the spec: the new owner inherits only the
+        *remaining* wall-clock budget, so a rebalanced session expires
+        when the original would have, and one whose budget ran out while
+        it waited settles as ``expired`` here, even with no live
+        workers.  A session that cannot be placed yet (no live workers,
+        capacity 429s, 503s, transport errors) stays unowned for the
+        next tick.  Returns how many sessions were placed.
 
         Ticks are serialized: this method is reachable concurrently
         from the supervisor sweep, :meth:`_declare_dead`, and
         :meth:`resume_sessions`, and the forward-submit deliberately
         runs outside ``_lock`` (it is a worker round trip).  A second
-        tick arriving while one is running returns immediately -- its
-        pending sessions are picked up by the running tick's snapshot
-        or by the next sweep.  Within a tick, each session id is
-        *claimed* (removed from the pending list) under ``_lock``
-        before the unlocked forward, and requeued only if placement
-        failed, so a session can never be double-submitted, its ledger
+        tick arriving while one is running returns immediately.  The
+        running tick's snapshot of unowned open entries is therefore
+        the claim: a session is never double-submitted, its ledger
         ``session`` record never double-appended, and
-        ``rebalanced_sessions`` never double-incremented.
+        ``rebalanced_sessions`` never double-incremented.  An entry
+        that settled while the tick ran (a DELETE) is not forwarded.
         """
         if not self._rebalance_lock.acquire(blocking=False):
             return 0
         try:
             with self._lock:
-                pending = list(self._pending)
+                unowned = [e for e in self._open.values() if e.worker is None]
             placed = 0
-            for session_id in pending:
-                expired = False
+            for entry in unowned:
                 with self._lock:
-                    entry = self._sessions.get(session_id)
-                    if entry is None or entry.done or entry.worker is not None:
-                        if session_id in self._pending:
-                            self._pending.remove(session_id)
+                    if entry.final is not None:
                         continue
-                    # Deadlines ride the spec: the new owner inherits only
-                    # the *remaining* wall-clock budget, so a rebalanced
-                    # session expires when the original would have.  A
-                    # session whose budget ran out while it waited for
-                    # placement is settled here (checked before the owner
-                    # assignment, so it resolves even with no live workers).
-                    spec = entry.spec
+                    spec, remaining = entry.spec, None
                     if entry.deadline_seconds is not None:
                         remaining = entry.deadline_seconds - (
                             time.monotonic() - entry.accepted_at
                         )
-                        if remaining <= 0:
-                            if session_id in self._pending:
-                                self._pending.remove(session_id)
-                            expired = True
-                        else:
-                            spec = dict(entry.spec)
-                            spec["deadline_seconds"] = remaining
-                    if not expired:
-                        owner = self.ring.assign(session_id)
-                        if owner is None:
-                            continue
-                        # claim before the unlocked forward-submit
-                        self._pending.remove(session_id)
-                if expired:
-                    self._mark_done(
-                        entry,
-                        {
-                            "id": session_id,
-                            "state": "expired",
-                            "queries": None,
-                            "worker": None,
-                            "error": "deadline elapsed while awaiting placement",
-                        },
-                    )
-                    self.run_log.emit(
-                        "session_expired", session=session_id, pending=True
+                        spec = dict(spec, deadline_seconds=remaining)
+                    owner = self.ring.assign(entry.session_id)
+                if remaining is not None and remaining <= 0:
+                    self._settle_here(
+                        entry, "expired",
+                        error="deadline elapsed while awaiting placement",
                     )
                     continue
+                if owner is None:
+                    continue
                 status, _payload = self._forward_submit(
-                    owner, session_id, spec, entry.client
+                    owner, entry.session_id, spec, entry.client
                 )
-                if status in (202, 409):  # 409: the replica already has it
-                    with self._lock:
-                        entry.worker = owner
-                        self.rebalanced_sessions += 1
-                    placed += 1
-                    if self.ledger is not None:
-                        # the rewritten spec, so a tier restart also
-                        # inherits only the remaining deadline budget
-                        self.ledger.append(
-                            {
-                                "kind": "session",
-                                "id": session_id,
-                                "client": entry.client,
-                                "spec": spec,
-                            }
-                        )
-                    self.run_log.emit(
-                        "session_rebalanced", session=session_id, worker=owner
-                    )
-                else:
-                    with self._lock:
-                        # release the claim for the next sweep (unless a
-                        # concurrent path already re-placed or finished it)
-                        if (
-                            entry.worker is None
-                            and not entry.done
-                            and session_id not in self._pending
-                        ):
-                            self._pending.append(session_id)
+                if status not in (202, 409):  # 409: the replica already has it
+                    continue
+                with self._lock:
+                    entry.worker = owner
+                    self.rebalanced_sessions += 1
+                placed += 1
+                # the rewritten spec, so a tier restart also inherits
+                # only the remaining deadline budget
+                self._record_open(entry, spec)
+                self.run_log.emit(
+                    "session_rebalanced", session=entry.session_id, worker=owner
+                )
             return placed
         finally:
             self._rebalance_lock.release()
@@ -852,31 +762,31 @@ class ClusterRouter:
     # ------------------------------------------------------------------
 
     def resume_sessions(self) -> int:
-        """Re-submit the ledger's open sessions after a tier restart.
+        """Restore the ledger's open sessions after a tier restart.
 
-        The consumed records are re-appended as the sessions are placed,
-        so the ledger always reflects the live tier.  Returns how many
-        sessions were queued for placement.
+        The ledger is compacted to the open sessions' latest ``session``
+        records in one atomic rename, so each stays durable until it
+        settles, whether or not a tick has placed it yet.  New ids start
+        past every id the ledger named.  Returns how many sessions were
+        restored.
         """
         if self.ledger is None:
             return 0
         records, _truncated = self.ledger.records()
-        open_records = open_sessions_from_records(records)
-        if not open_records:
-            return 0
-        self.ledger.clear_records()
+        restored = open_sessions_from_records(records)
+        self.ledger.clear_records(keep=restored.values())
+        for record in records:
+            self._note_restored_id(record.get("id", ""))
         with self._lock:
-            for session_id, record in open_records.items():
-                self._note_restored_id(session_id)
+            for session_id, record in restored.items():
                 entry = SessionEntry(
                     session_id, record["spec"], record.get("client"), None
                 )
-                self._sessions[session_id] = entry
-                self._order.append(session_id)
-                self._pending.append(session_id)
-        self.run_log.emit("cluster_resume", sessions=len(open_records))
-        self.tick_rebalance()
-        return len(open_records)
+                self._sessions[session_id] = self._open[session_id] = entry
+        if restored:
+            self.run_log.emit("cluster_resume", sessions=len(restored))
+            self.tick_rebalance()
+        return len(restored)
 
 
 class ClusterSupervisor(threading.Thread):

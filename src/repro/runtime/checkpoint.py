@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -229,14 +229,21 @@ class CheckpointStore:
                 ) from exc
         return records, truncated
 
-    def clear_records(self) -> None:
-        """Atomically reset the record file (e.g. after consuming it)."""
+    def clear_records(self, keep: Iterable[Dict] = ()) -> None:
+        """Atomically replace the record file with ``keep`` (default: none).
+
+        ``keep`` is written to a temp file before the rename, so a crash
+        leaves either the old records or the compacted ones, never a
+        window in which a kept record exists nowhere on disk.
+        """
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
             temp_path = self.records_path + ".tmp"
             with open(temp_path, "w") as handle:
+                for record in keep:
+                    handle.write(json.dumps(record) + "\n")
                 handle.flush()
                 if self._sync:
                     os.fsync(handle.fileno())
@@ -427,6 +434,35 @@ def load_campaign(
         else:
             seconds.pop(index, None)
     return store.manifest(), results, seeds, seconds, truncated
+
+
+# ----------------------------------------------------------------------
+# serve-session records (a serve drain, the cluster router's ledger)
+# ----------------------------------------------------------------------
+
+
+def open_sessions_from_records(records: List[Dict]) -> Dict[str, Dict]:
+    """Session records -> the still-open ones, by id.
+
+    Later ``session`` records win on duplicate ids (a rebalance
+    re-appends the spec it re-submitted; a later drain re-persists a
+    session), and a ``session_done`` marker anywhere closes its id.  A
+    serve checkpoint carries no markers, so every session it persisted
+    is open; the router's ledger closes each session as it settles.
+    """
+    sessions: Dict[str, Dict] = {}
+    finished = set()
+    for record in records:
+        kind = record.get("kind")
+        if kind == "session":
+            sessions[record["id"]] = record
+        elif kind == "session_done":
+            finished.add(record["id"])
+    return {
+        session_id: record
+        for session_id, record in sessions.items()
+        if session_id not in finished
+    }
 
 
 # ----------------------------------------------------------------------

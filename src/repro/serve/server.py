@@ -10,7 +10,9 @@ The serving stack as JSON endpoints on the shared front end
                           sheds the request
 ``GET /attacks``          recent sessions, newest first
 ``GET /attacks/{id}``     one session's status and (when done) its result;
-                          ``410`` once the TTL reaper has swept it
+                          ``410`` once the TTL reaper has swept it; a
+                          read carrying :data:`SWEEP_HEADER` is not a
+                          client poll and leaves the idle clock alone
 ``DELETE /attacks/{id}``  request cancellation; the driver parks the
                           session at its next query boundary (``202``,
                           idempotent; ``200`` when already terminal)
@@ -49,13 +51,18 @@ from repro.classifier.blackbox import NetworkClassifier
 from repro.classifier.toy import SmoothLinearClassifier
 from repro.models.registry import ARCHITECTURES, build_model
 from repro.runtime.cache import QueryCache, normalized_cache_size
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import CheckpointStore, open_sessions_from_records
 from repro.runtime.events import RunLog, ensure_log
 from repro.runtime.http import FrontEndHandle, serve_until_signalled
 from repro.serve.admission import AdmissionControl, OverloadPolicy, RateLimiter
 from repro.serve.broker import BatchPolicy, MicroBatchBroker
 from repro.serve.protocol import ProtocolError, decode_attack_request
 from repro.serve.sessions import SessionManager
+
+#: Request header the cluster router's terminal sweep sets on its reads.
+#: Such a ``GET /attacks/{id}`` answers like a poll but does not count as
+#: one, so it does not defer the ``--idle-ttl`` reaper.
+SWEEP_HEADER = "X-Router-Sweep"
 
 
 @dataclass
@@ -454,10 +461,7 @@ class AttackServer:
             return 0
         self.checkpoint.reconcile_manifest(self.config.manifest())
         records, _truncated = self.checkpoint.records()
-        by_id: Dict[str, Dict] = {}
-        for record in records:
-            if record.get("kind") == "session":
-                by_id[record["id"]] = record  # latest drain wins per id
+        by_id = open_sessions_from_records(records)  # latest drain wins per id
         restored = 0
         for session_id, record in by_id.items():
             try:
@@ -602,13 +606,17 @@ class AttackServer:
             return 202, session.to_dict()
         return 200, session.to_dict()
 
-    def handle_get_session(self, session_id: str) -> Tuple[int, Dict]:
+    def handle_get_session(
+        self, session_id: str, touch: bool = True
+    ) -> Tuple[int, Dict]:
+        """One session's status; ``touch=False`` reads without polling."""
         session = self.sessions.get(session_id)
         if session is None:
             if self.sessions.was_reaped(session_id):
                 return 410, {"error": f"session {session_id} was reaped"}
             return 404, {"error": f"no such session: {session_id}"}
-        session.touch()
+        if touch:
+            session.touch()
         return 200, session.to_dict()
 
     def handle_list_sessions(self) -> Tuple[int, Dict]:
@@ -662,6 +670,7 @@ class AttackServer:
         body: bytes,
         client: str,
         session_id: Optional[str] = None,
+        touch: bool = True,
     ):
         if path == "/healthz" and method == "GET":
             if self.draining:
@@ -676,7 +685,7 @@ class AttackServer:
         if path == "/attacks" and method == "GET":
             return self.handle_list_sessions()
         if path.startswith("/attacks/") and method == "GET":
-            return self.handle_get_session(path[len("/attacks/"):])
+            return self.handle_get_session(path[len("/attacks/"):], touch)
         if path.startswith("/attacks/") and method == "DELETE":
             return self.handle_cancel(path[len("/attacks/"):])
         if path in ("/healthz", "/metrics", "/models", "/attacks") or path.startswith(
@@ -696,6 +705,7 @@ class AttackServer:
             body,
             headers["x-client-id"],
             session_id=headers.get("x-session-id") or None,
+            touch=SWEEP_HEADER.lower() not in headers,
         )
 
 

@@ -530,8 +530,8 @@ def cancel_and_kill_cluster(
     from dataclasses import replace
 
     from repro.cluster.config import ClusterConfig
-    from repro.cluster.router import ClusterHandle, open_sessions_from_records
-    from repro.runtime.checkpoint import CheckpointStore
+    from repro.cluster.router import ClusterHandle
+    from repro.runtime.checkpoint import CheckpointStore, open_sessions_from_records
     from repro.runtime.http import http_json
     from repro.serve.server import ServeConfig
     from repro.testkit.lifecycle import toy_lifecycle_runner
@@ -572,7 +572,7 @@ def cancel_and_kill_cluster(
         )
         survivor_queries = final["result"]["queries"]
         finisher = final["worker"]
-        cancelled_counter = tier.router.cancelled_sessions
+        cancelled_counter = tier.router.settled["cancelled"]
 
     records, _ = CheckpointStore(checkpoint).records()
     still_open = open_sessions_from_records(records)
@@ -624,8 +624,10 @@ def main(argv=None) -> int:
     With ``--cluster-workers N`` the module instead drives the cluster
     worker-kill harness (:func:`kill_worker_and_rebalance`), prints its
     verdict as JSON, and exits non-zero unless the rebalanced session
-    matched the golden query count -- which is what the CI cluster smoke
-    step asserts.
+    matched the golden query count.  With ``--lifecycle`` as well it
+    drives :func:`cancel_and_kill_cluster` and exits non-zero unless its
+    ``ok`` verdict holds; CI's cluster lifecycle smoke runs that variant
+    (CI's cluster smoke drives the ``repro cluster`` CLI itself).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.testkit.kill",

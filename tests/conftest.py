@@ -6,8 +6,11 @@ against trained CNNs live in ``tests/test_integration_zoo.py`` and use a
 session-scoped cached model.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.classifier.toy import (
     LinearPixelClassifier,
@@ -17,6 +20,14 @@ from repro.classifier.toy import (
 )
 
 TOY_SHAPE = (6, 6, 3)
+
+# Hypothesis profiles.  Tier-1 runs use the default; the nightly workflow
+# sets HYPOTHESIS_PROFILE=nightly, which stateful tests such as
+# tests/test_router_model.py read to run many more, longer programs.
+settings.register_profile(
+    "nightly", max_examples=400, stateful_step_count=60, deadline=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -27,9 +27,24 @@ from repro.cluster.metrics import (
     merge_cache_stats,
     merge_histograms,
 )
-from repro.cluster.router import ClusterRouter, open_sessions_from_records
-from repro.runtime.checkpoint import CheckpointMismatch, CheckpointStore
+from repro.cluster.router import ClusterRouter
+from repro.runtime.checkpoint import (
+    CheckpointMismatch,
+    CheckpointStore,
+    open_sessions_from_records,
+)
 from repro.serve.server import ServeConfig
+
+
+def _seed(router, entry):
+    """Put ``entry`` in the router's session table as an open session."""
+    router._sessions[entry.session_id] = router._open[entry.session_id] = entry
+    return entry
+
+
+def _unowned(router):
+    """Ids of the router's open sessions awaiting (re)placement."""
+    return [sid for sid, entry in router._open.items() if entry.worker is None]
 
 
 class TestHashRing:
@@ -461,10 +476,9 @@ class TestRebalanceConcurrency:
         router.ring.add("w0")
         for index in range(sessions):
             session_id = f"c{index + 1}"
-            entry = SessionEntry(session_id, {"spec": index}, "client", None)
-            router._sessions[session_id] = entry
-            router._order.append(session_id)
-            router._pending.append(session_id)
+            _seed(
+                router, SessionEntry(session_id, {"spec": index}, "client", None)
+            )
         return router
 
     def test_concurrent_ticks_never_double_place(self, monkeypatch):
@@ -493,7 +507,7 @@ class TestRebalanceConcurrency:
         assert sorted(forwards) == [f"c{i + 1}" for i in range(8)]
         assert all(count == 1 for count in forwards.values())
         assert router.rebalanced_sessions == 8
-        assert router._pending == []
+        assert _unowned(router) == []
         assert all(
             entry.worker == "w0" for entry in router._sessions.values()
         )
@@ -505,7 +519,7 @@ class TestRebalanceConcurrency:
         )
         placed = router.tick_rebalance()
         assert placed == 0
-        assert sorted(router._pending) == ["c1", "c2"]
+        assert sorted(_unowned(router)) == ["c1", "c2"]
         assert router.rebalanced_sessions == 0
 
     def test_ledger_session_record_appended_once(self, monkeypatch, tmp_path):
@@ -518,9 +532,7 @@ class TestRebalanceConcurrency:
         )
         router.ledger.reconcile_manifest(router.config.manifest())
         router.ring.add("w0")
-        entry = SessionEntry("c1", {"attack": "fixed"}, None, None)
-        router._sessions["c1"] = entry
-        router._pending.append("c1")
+        _seed(router, SessionEntry("c1", {"attack": "fixed"}, None, None))
 
         def slow_forward(owner, session_id, spec, client):
             time.sleep(0.01)
@@ -553,9 +565,7 @@ class TestTerminalSweep:
         router = ClusterRouter(config)
         router.workers[0].state = LIVE
         router.ring.add("w0")
-        entry = SessionEntry("c1", {"attack": "fixed"}, None, "w0")
-        router._sessions["c1"] = entry
-        router._order.append("c1")
+        entry = _seed(router, SessionEntry("c1", {"attack": "fixed"}, None, "w0"))
         return router, entry
 
     def test_sweep_marks_terminal_sessions_done(self, monkeypatch):
@@ -569,7 +579,7 @@ class TestTerminalSweep:
         )
         swept = router.sweep_terminal_sessions()
         assert swept == 1
-        assert entry.done
+        assert entry.final is not None
         assert entry.final["result"]["queries"] == 288
         assert entry.final["worker"] == "w0"
         # idempotent: already-done sessions are not re-swept
@@ -582,7 +592,7 @@ class TestTerminalSweep:
             lambda *a, **k: (200, {"state": "running", "queries": 12}),
         )
         assert router.sweep_terminal_sessions() == 0
-        assert not entry.done
+        assert entry.final is None
 
     def test_sweep_closes_ledger_record(self, monkeypatch, tmp_path):
         router, entry = self._router_with_live_worker(
@@ -601,6 +611,24 @@ class TestTerminalSweep:
         assert open_sessions_from_records(records) == {}
         router.ledger.close()
 
+    def test_sweep_reads_are_not_client_polls(self, monkeypatch):
+        from repro.serve.server import SWEEP_HEADER
+
+        router, entry = self._router_with_live_worker()
+        requests = []
+
+        def worker(address, method, path, headers=None, **kwargs):
+            requests.append((method, path, headers))
+            return 200, {"state": "running", "queries": 12}
+
+        monkeypatch.setattr("repro.cluster.router.http_json", worker)
+        router.sweep_terminal_sessions()
+        router.get_session("c1")
+        assert requests == [
+            ("GET", "/attacks/c1", {SWEEP_HEADER: "1"}),  # the sweep's read
+            ("GET", "/attacks/c1", None),  # a client poll, forwarded as one
+        ]
+
     def test_supervise_once_sweeps_on_cadence(self, monkeypatch):
         router, entry = self._router_with_live_worker()
         calls = []
@@ -617,6 +645,181 @@ class TestTerminalSweep:
         for _ in range(8):
             router.supervise_once()
         assert len(calls) == 2  # every 4th sweep
+
+
+class TestSessionTable:
+    """One table, one ledger: open sessions stay durable, ids never
+    collide with the ledger's, and settled sessions age out."""
+
+    def _ledger(self, tmp_path, *records):
+        ledger = CheckpointStore(str(tmp_path))
+        for record in records:
+            ledger.append(record)
+        ledger.close()
+        return ClusterConfig(workers=1, checkpoint=str(tmp_path), resume=True)
+
+    def test_unplaced_resumed_session_stays_in_the_ledger(
+        self, monkeypatch, tmp_path
+    ):
+        config = self._ledger(
+            tmp_path,
+            {"kind": "session", "id": "c7", "client": "t", "spec": {}},
+        )
+        router = ClusterRouter(config)
+        router.ring.add("w0")
+        monkeypatch.setattr(
+            router, "_forward_submit", lambda *a: (429, {"error": "at capacity"})
+        )
+        assert router.resume_sessions() == 1
+        assert _unowned(router) == ["c7"]  # the first placement failed
+
+        def ledger_open():
+            records, _ = CheckpointStore(str(tmp_path)).records()
+            return sorted(open_sessions_from_records(records))
+
+        assert ledger_open() == ["c7"]  # durable before any placement
+        summary = router.drain()
+        assert summary["open"] == summary["durable"] == 1
+        assert ledger_open() == ["c7"]
+        assert ClusterRouter(config).resume_sessions() == 1  # the next --resume
+
+    def test_new_ids_never_inherit_a_ledger_done_marker(
+        self, monkeypatch, tmp_path
+    ):
+        config = self._ledger(
+            tmp_path,
+            {"kind": "session", "id": "c1", "client": "t", "spec": {}},
+            {"kind": "session_done", "id": "c1"},
+        )
+        router = ClusterRouter(config)
+        router.ring.add("w0")
+        monkeypatch.setattr(
+            router, "_forward_submit", lambda *a: (202, {"id": a[1]})
+        )
+        assert router.resume_sessions() == 0
+        status, accepted = router.submit(b"{}", "t")
+        assert status == 202
+        router.ledger.close()
+        records, _ = CheckpointStore(str(tmp_path)).records()
+        assert list(open_sessions_from_records(records)) == [accepted["id"]]
+
+    def test_start_without_resume_keeps_new_ids_off_the_ledger(
+        self, monkeypatch, tmp_path
+    ):
+        config = self._ledger(
+            tmp_path,
+            {"kind": "session", "id": "c1", "client": "t", "spec": {}},
+            {"kind": "session_done", "id": "c1"},
+            {"kind": "session", "id": "c2", "client": "t", "spec": {}},
+        )
+        router = ClusterRouter(ClusterConfig(workers=1, checkpoint=str(tmp_path)))
+        worker = router.workers[0]
+        monkeypatch.setattr(worker, "spawn", lambda: None)  # no processes
+        monkeypatch.setattr(worker, "wait_healthy", lambda timeout: True)
+        monkeypatch.setattr(
+            router, "_forward_submit", lambda *a: (202, {"id": a[1]})
+        )
+        router.start()
+        status, accepted = router.submit(b"{}", "t")
+        assert status == 202 and accepted["id"] == "c3"
+        router.ledger.close()
+        records, _ = CheckpointStore(str(tmp_path)).records()
+        # c2 stays open for a later --resume; the new session is open too
+        assert sorted(open_sessions_from_records(records)) == ["c2", "c3"]
+
+    def test_concurrent_answers_settle_each_session_once(
+        self, monkeypatch, tmp_path
+    ):
+        """Polls, DELETEs and a sweep racing on the same sessions: each
+        session settles once, and every caller sees that one final."""
+        import itertools
+        import sys
+        import threading
+
+        from repro.cluster.router import SessionEntry
+        from repro.cluster.workers import LIVE
+
+        router = ClusterRouter(ClusterConfig(workers=1, checkpoint=str(tmp_path)))
+        router.workers[0].state = LIVE
+        router.ring.add("w0")
+        ids = [f"c{index}" for index in range(1, 129)]
+        for session_id in ids:
+            _seed(router, SessionEntry(session_id, {}, "t", "w0"))
+        replies = itertools.count()  # every worker answer is distinct
+
+        def worker(*args, **kwargs):
+            time.sleep(0.001)  # a round trip: other callers run meanwhile
+            return 200, {"state": "done", "reply": next(replies)}
+
+        monkeypatch.setattr("repro.cluster.router.http_json", worker)
+        seen = {session_id: [] for session_id in ids}
+
+        start = threading.Barrier(7)
+
+        def client(ask):
+            start.wait(timeout=30)
+            for session_id in ids:
+                seen[session_id].append(ask(session_id)[1])
+
+        def sweep():
+            start.wait(timeout=30)
+            router.sweep_terminal_sessions()
+
+        threads = [
+            threading.Thread(target=client, args=(ask,))
+            for ask in (router.get_session, router.cancel_session) * 3
+        ] + [threading.Thread(target=sweep)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for session_id in ids:
+            final = router._sessions[session_id].final
+            assert final is not None
+            assert all(answer == final for answer in seen[session_id])
+        assert sum(router.settled.values()) == len(ids)
+        router.ledger.close()
+        records, _ = router.ledger.records()
+        done = [r["id"] for r in records if r["kind"] == "session_done"]
+        assert sorted(done) == sorted(ids)
+
+    def test_settled_sessions_age_out_beyond_the_history(self, monkeypatch):
+        from repro.serve.sessions import DEFAULT_HISTORY
+
+        router = ClusterRouter(ClusterConfig(workers=1))
+        router.ring.add("w0")
+        monkeypatch.setattr(
+            router, "_forward_submit", lambda *a: (202, {"id": a[1]})
+        )
+        monkeypatch.setattr(
+            "repro.cluster.router.http_json",
+            lambda address, method, path, **k: (
+                200, {"id": path.rsplit("/", 1)[-1], "state": "done"},
+            ),
+        )
+        body = json.dumps({"attack": "fixed", "budget": 4}).encode()
+        never_polled = router.submit(body, "t")[1]["id"]
+        ids = [router.submit(body, "t")[1]["id"] for _ in range(DEFAULT_HISTORY + 2)]
+        for session_id in ids:
+            assert router.get_session(session_id)[1]["state"] == "done"
+        # the two oldest settled sessions are forgotten, as a worker
+        # forgets them; the open one never is
+        assert [router.get_session(s)[0] for s in ids[:3]] == [404, 404, 200]
+        tracked = router.metrics()[1]["cluster"]["sessions_tracked"]
+        assert tracked == DEFAULT_HISTORY + 1
+        _, listing = router.list_sessions(limit=2 * DEFAULT_HISTORY)
+        assert listing["sessions"][-1] == {
+            "id": never_polled, "worker": "w0", "done": False, "client": "t",
+        }
+        # a settled entry keeps its final, not its spec
+        assert router._sessions[ids[-1]].spec is None
+        assert router._sessions[never_polled].spec == json.loads(body)
 
 
 class TestSharedCacheConfig:
@@ -665,6 +868,38 @@ class TestSharedCacheTier:
         assert all(code == 0 for code in verdict["exit_codes"].values()), verdict
 
 
+@pytest.mark.slow
+class TestIdleTtlBehindRouter:
+    def test_router_sweep_does_not_keep_abandoned_sessions_alive(self):
+        """``--idle-ttl`` cancels a submitted-and-abandoned session on a
+        worker behind the router, although the router's terminal sweep
+        reads that session every few heartbeats."""
+        from repro.cluster.router import ClusterHandle
+        from repro.testkit.kill import hard_cluster_spec
+
+        config = ClusterConfig(
+            workers=1, port=0, heartbeat=0.2, backoff=0.2,
+            serve=ServeConfig(
+                height=6, width=6, num_classes=3, seed=1, latency=0.05,
+                idle_ttl=1.0, reap_interval=0.2,
+            ),
+        )
+        with ClusterHandle(config) as tier:
+            status, accepted = tier.router.submit(
+                json.dumps(hard_cluster_spec()).encode(), client="t"
+            )
+            assert status == 202
+            deadline = time.monotonic() + 8.0
+            cancelled = 0
+            while not cancelled and time.monotonic() < deadline:
+                time.sleep(0.2)  # /metrics scrapes are not polls either
+                cancelled = tier.router.metrics()[1]["lifecycle"]["cancelled"]
+            assert cancelled == 1
+            status, final = tier.router.get_session(accepted["id"])
+            assert status == 200 and final["state"] == "cancelled", final
+            assert final["queries"] < 288, final
+
+
 class TestLifecycleRouting:
     """Deadline, cancel, and reap plumbing; no worker processes."""
 
@@ -687,19 +922,18 @@ class TestLifecycleRouting:
         router = ClusterRouter(
             ClusterConfig(workers=1, checkpoint=str(tmp_path))
         )
-        entry = SessionEntry("c1", {"deadline_seconds": 0.5}, "t", None)
+        entry = _seed(
+            router, SessionEntry("c1", {"deadline_seconds": 0.5}, "t", None)
+        )
         entry.accepted_at -= 10.0  # the budget elapsed while pending
-        router._sessions["c1"] = entry
-        router._order.append("c1")
-        router._pending.append("c1")
         router.ledger.append(
             {"kind": "session", "id": "c1", "client": "t", "spec": entry.spec}
         )
         assert router.tick_rebalance() == 0  # ring is empty: no placement
         status, payload = router.get_session("c1")
         assert status == 200 and payload["state"] == "expired"
-        assert router.expired_sessions == 1
-        assert router._pending == []
+        assert router.settled["expired"] == 1
+        assert _unowned(router) == []
         records, _ = router.ledger.records()
         assert open_sessions_from_records(records) == {}
         router.ledger.close()
@@ -711,10 +945,10 @@ class TestLifecycleRouting:
 
         router = ClusterRouter(ClusterConfig(workers=1))
         router.ring.add("w0")
-        entry = SessionEntry("c1", {"deadline_seconds": 60.0}, "t", None)
+        entry = _seed(
+            router, SessionEntry("c1", {"deadline_seconds": 60.0}, "t", None)
+        )
         entry.accepted_at -= 10.0  # ten seconds already spent
-        router._sessions["c1"] = entry
-        router._pending.append("c1")
         forwarded = {}
 
         def fake_forward(owner, session_id, spec, client):
@@ -737,21 +971,18 @@ class TestLifecycleRouting:
         router = ClusterRouter(
             ClusterConfig(workers=1, checkpoint=str(tmp_path))
         )
-        entry = SessionEntry("c1", {"attack": "fixed"}, "t", None)
-        router._sessions["c1"] = entry
-        router._order.append("c1")
-        router._pending.append("c1")
+        entry = _seed(router, SessionEntry("c1", {"attack": "fixed"}, "t", None))
         router.ledger.append(
             {"kind": "session", "id": "c1", "client": "t", "spec": entry.spec}
         )
         status, payload = router.cancel_session("c1")
         assert status == 200 and payload["state"] == "cancelled"
         assert payload["worker"] is None  # no generator ever ran anywhere
-        assert router.cancelled_sessions == 1
-        assert router._pending == []
+        assert router.settled["cancelled"] == 1
+        assert _unowned(router) == []
         # idempotent: a retried DELETE converges on the cached final
         assert router.cancel_session("c1") == (200, payload)
-        assert router.cancelled_sessions == 1
+        assert router.settled["cancelled"] == 1
         records, _ = router.ledger.records()
         assert open_sessions_from_records(records) == {}
         router.ledger.close()
@@ -767,7 +998,7 @@ class TestLifecycleRouting:
             )
         )
         router.ring.add("w0")
-        router._sessions["c1"] = SessionEntry("c1", {}, "t", "w0")
+        _seed(router, SessionEntry("c1", {}, "t", "w0"))
         status, payload = router.submit(b"{}", client="t")
         assert status == 503
         assert payload["retry_after"] == 2.0

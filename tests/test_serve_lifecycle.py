@@ -23,7 +23,7 @@ from repro.runtime.events import RunLog
 from repro.serve.admission import OverloadPolicy
 from repro.serve.broker import MicroBatchBroker
 from repro.serve.protocol import ProtocolError, decode_attack_request
-from repro.serve.server import AttackServer, ServeConfig, ServerHandle
+from repro.serve.server import SWEEP_HEADER, AttackServer, ServeConfig, ServerHandle
 from repro.serve.sessions import (
     CANCELLED,
     DEFAULT_TOMBSTONES,
@@ -512,6 +512,29 @@ class TestServerLifecycle:
             assert metrics["lifecycle"]["shed"] == 1
             assert metrics["overload"]["max_active"] == 1
             server.handle_cancel(accepted["id"])
+        finally:
+            server.stop()
+
+    def test_sweep_read_does_not_defer_the_idle_reaper(self):
+        """A read carrying SWEEP_HEADER (the cluster router's terminal
+        sweep) answers like a poll but leaves the idle clock alone; a
+        client poll, forwarded by the router or not, still touches it."""
+        server = self._server()
+        try:
+            status, accepted = server.handle_submit(
+                self._submit_body(server, budget=4), client="t"
+            )
+            assert status == 202
+            session = server.sessions.get(accepted["id"])
+            session.last_polled_at -= 100.0
+            stale = session.last_polled_at
+            path = f"/attacks/{accepted['id']}"
+            sweep = {"x-client-id": "router", SWEEP_HEADER.lower(): "1"}
+            assert server.http_route("GET", path, sweep, b"")[0] == 200
+            assert session.last_polled_at == stale
+            poll = {"x-client-id": "router", "x-session-id": accepted["id"]}
+            assert server.http_route("GET", path, poll, b"")[0] == 200
+            assert session.last_polled_at > stale
         finally:
             server.stop()
 
