@@ -767,16 +767,22 @@ class ClusterRouter:
         The ledger is compacted to the open sessions' latest ``session``
         records in one atomic rename, so each stays durable until it
         settles, whether or not a tick has placed it yet.  New ids start
-        past every id the ledger named.  Returns how many sessions were
-        restored.
+        past every id the ledger named, and the highest of them stays in
+        the compacted ledger (as a ``session_done`` if it has settled), so
+        the next restart starts past it too.  Returns how many sessions
+        were restored.
         """
         if self.ledger is None:
             return 0
         records, _truncated = self.ledger.records()
         restored = open_sessions_from_records(records)
-        self.ledger.clear_records(keep=restored.values())
         for record in records:
             self._note_restored_id(record.get("id", ""))
+        keep = list(restored.values())
+        highest = f"c{self._next_id - 1}"
+        if self._next_id > 1 and highest not in restored:
+            keep.append({"kind": "session_done", "id": highest})
+        self.ledger.clear_records(keep=keep)
         with self._lock:
             for session_id, record in restored.items():
                 entry = SessionEntry(

@@ -14,13 +14,13 @@ oldest pending query has waited ``max_wait`` seconds, whichever comes
 first.  ``max_wait`` bounds the latency a lone session can be charged
 for the crowd's benefit; ``max_batch_size`` bounds the model's memory.
 
-Two access modes share one evaluation core:
+Two access modes share one evaluation core, :meth:`evaluate` (score a
+ready-made list of images in one pass):
 
-- :meth:`evaluate` -- synchronous; scores a ready-made list of images in
-  one pass.  Used by the cooperative session scheduler and by tests: no
-  threads, fully deterministic.
 - :meth:`submit` -- thread-safe blocking call used by concurrently
   driven sessions; a background flusher thread applies the batch policy.
+- :meth:`submit_many` -- one session's speculative batch, evaluated
+  whole on the caller's thread.
 
 Both modes run every miss through a shared
 :class:`~repro.runtime.cache.QueryCache` sitting *in front of* the model
@@ -159,13 +159,6 @@ class MicroBatchBroker:
         self.cache = cache
         self.run_log = ensure_log(run_log)
         self.metrics = BrokerMetrics()
-        #: Optional ``observer(image, scores)`` trace hook, called once
-        #: per *logical* query (cache hits and intra-batch duplicates
-        #: included) in input order at flush time.  Used by the testkit's
-        #: differential oracles to localize the first diverging query of
-        #: a served run; called under no broker lock, so observers must
-        #: be fast and must not re-enter the broker.
-        self.observer = None
         # The QueryCache locks each get/put internally; this lock covers
         # the broker's *compound* lookup-and-dedup phase and the
         # single-flight table.  The lock alone is not enough to prevent
@@ -309,9 +302,6 @@ class MicroBatchBroker:
         for position, key in enumerate(keys):
             if scores[position] is None:
                 scores[position] = np.array(settled[key], copy=True)
-        if self.observer is not None:
-            for image, row in zip(images, scores):
-                self.observer(image, row)
         self.metrics.record_flush(
             batch=len(images),
             model_batch=len(to_score),

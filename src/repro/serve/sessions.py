@@ -19,15 +19,13 @@ speculative members the attack never uses are never counted).  The
 final ``AttackResult.queries`` from the attack's own internal
 accounting must agree -- a pinned invariant.
 
-Two drive strategies:
-
-- :meth:`SessionManager.run_cooperative` -- lock-step rounds: every
-  active session contributes its pending query, the whole round is
-  evaluated as one batch, every session advances.  Single-threaded and
-  deterministic; batch size equals the number of live sessions.
-- :meth:`SessionManager.start` -- one driving thread per session,
-  queries funneled through ``broker.submit`` where the batch policy
-  coalesces them.  This is what the HTTP server uses.
+One drive loop: :meth:`SessionManager.drive` runs a session to its end,
+funneling scalar queries through ``broker.submit`` (where the batch
+policy coalesces them with other sessions' queries) and speculative
+batches through ``broker.submit_many``, and checks the drain flag and
+the cancel/expiry verdict at every query boundary.
+:meth:`SessionManager.start` runs it on a worker thread, one per
+session; this is what the HTTP server does.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -73,7 +71,7 @@ class AttackSession:
     """One attack in flight, driven query by query.
 
     Not thread-safe on its own: a session is only ever advanced by a
-    single driver (one executor thread, or the cooperative loop).
+    single driver thread.
     Reads of ``state``/``queries`` from other threads (the ``/metrics``
     endpoint) see a consistent-enough snapshot since both are plain
     attribute writes.
@@ -273,8 +271,8 @@ class AttackSession:
         own internal counter, so a session cancelled or expired after
         ``k`` charged queries reports exactly ``k`` and carries a result
         bit-identical to a budget-``k`` scalar run that never succeeded
-        (the fidelity invariant; differentially verified by
-        :mod:`repro.testkit.lifecycle`).
+        (the fidelity invariant; differentially verified by the
+        :data:`~repro.testkit.differential.LIFECYCLE` table).
         """
         if self.state not in (QUEUED, RUNNING):
             return
@@ -294,11 +292,6 @@ class AttackSession:
             self.result = result
         self.state = state
         self.finished_at = time.time()
-
-    def close(self) -> None:
-        """Abandon the session, releasing generator resources."""
-        if self.state == RUNNING:
-            self.fail(RuntimeError("session closed"))
 
     def to_dict(self) -> Dict:
         """JSON-safe status view for the HTTP API."""
@@ -502,76 +495,6 @@ class SessionManager:
             else:
                 self._retire(session)
         return session
-
-    def run_cooperative(
-        self, sessions: Sequence[AttackSession]
-    ) -> List[AttackSession]:
-        """Drive sessions in deterministic lock-step rounds.
-
-        Each round gathers every active session's pending request into
-        one list -- a pending :class:`QueryBatch` contributes all its
-        member images, a scalar query contributes one -- scores the
-        whole round through
-        :meth:`~repro.serve.broker.MicroBatchBroker.evaluate`, and
-        advances each session with its slice of the answers.
-        Single-threaded: results are bit-identical to driving each
-        attack alone, and the round's model batch is the concatenation
-        of every live session's pending work.
-        """
-        active: List[AttackSession] = []
-        for session in sessions:
-            verdict = session.lifecycle_verdict()
-            if verdict is not None:
-                session.park(verdict)
-                self._retire(session)
-            elif session.start() is not None:
-                active.append(session)
-            else:
-                self._retire(session)
-        while active:
-            # the same per-round boundary check the threaded driver runs
-            live: List[AttackSession] = []
-            for session in active:
-                verdict = session.lifecycle_verdict()
-                if verdict is not None:
-                    session.park(verdict)
-                    self._retire(session)
-                else:
-                    live.append(session)
-            active = live
-            if not active:
-                break
-            spans: List[int] = []
-            images: List[np.ndarray] = []
-            for session in active:
-                pending = session.pending
-                if isinstance(pending, QueryBatch):
-                    spans.append(len(pending))
-                    images.extend(pending.images())
-                else:
-                    spans.append(1)
-                    images.append(pending.image)
-            answers = self.broker.evaluate(images)
-            still: List[AttackSession] = []
-            offset = 0
-            for session, span in zip(active, spans):
-                rows = answers[offset:offset + span]
-                offset += span
-                payload = (
-                    np.asarray(rows)
-                    if isinstance(session.pending, QueryBatch)
-                    else rows[0]
-                )
-                try:
-                    request = session.advance(payload)
-                except Exception:
-                    request = None  # session already failed in advance()
-                if request is not None:
-                    still.append(session)
-                else:
-                    self._retire(session)
-            active = still
-        return list(sessions)
 
     def shutdown(self) -> None:
         """Stop accepting work and release executor threads."""

@@ -1,29 +1,48 @@
-"""Differential oracles: prove the execution paths bit-identical.
+"""The differential oracle: every execution path charges what its reference charges.
 
-The repo runs every attack through several supposedly equivalent paths:
+The paper's headline metric is queries per attack, so every way the repo
+runs an attack must end in an :class:`~repro.attacks.base.AttackResult`
+bit-identical to its scalar reference: same success, query count, pixel
+and perturbation bytes.  :class:`DifferentialRunner` checks that claim
+with one machine:
 
-- ``direct``  -- the classic ``attack(classifier, ...)`` call;
-- ``stepped`` -- the generator protocol driven by
-  :func:`~repro.core.stepping.drive_steps`;
-- ``pooled``  -- the :class:`~repro.runtime.pool.WorkerPool` engine via
-  :class:`~repro.runtime.tasks.AttackTaskRunner`;
-- ``served``  -- an :class:`~repro.serve.sessions.AttackSession` over a
-  :class:`~repro.serve.broker.MicroBatchBroker`.
+- a **case** (``seed -> Case``): a classifier, an image, its true class
+  and a fresh attack;
+- a **table** of named :class:`Axis` rows, each running the case its own
+  way -- ``direct`` (``attack(classifier, ...)``), ``stepped``
+  (:func:`~repro.core.stepping.drive_steps`), ``pooled`` (the
+  :class:`~repro.runtime.pool.WorkerPool` engine) or ``served`` (an
+  :class:`~repro.serve.sessions.AttackSession` run by the production
+  :meth:`~repro.serve.sessions.SessionManager.drive` over a started
+  :class:`~repro.serve.broker.MicroBatchBroker`) -- with a query cache or
+  not, scalar or batched, parked by a cancel or expiry verdict or not;
+- a **reference** per row: another row of the table, or for a parked row
+  the scalar budget-``k`` run;
+- **one check**: result fingerprints, counted flags wherever both traces
+  carry them, session accounting (``session.queries ==
+  result.queries``) and, for parked rows, the terminal state and the
+  budget-``k`` charge.  A diverging cell names its first diverging query
+  (:func:`~repro.testkit.trace.diff_events`).
 
-Their equivalence is the foundation the query-count reproduction stands
-on (a silent divergence in counting or queue ordering corrupts the
-paper's headline metric), so :class:`DifferentialRunner` checks it
-*exhaustively*: a sweep over N seeds x paths x {cache on, cache off}
-asserting a bit-identical :class:`~repro.attacks.base.AttackResult` in
-every cell, and -- because "the final result differs" is a terrible
-debugging starting point -- reporting the **first diverging query
-event** (via golden traces) whenever a cell disagrees.
+The tables are :data:`PATHS` (every execution path against the uncached
+``stepped`` run; :func:`toy_runner`, :func:`network_runner`),
+:data:`BATCH` (each mode batched against its scalar twin;
+:func:`toy_batch_runner`), :data:`LIFECYCLE` (sessions parked after
+``k`` charged queries against budget-``k`` runs;
+:func:`toy_lifecycle_runner`) and the shared-L2 table of
+:func:`repro.testkit.sharedcache.shared_cache_sweep`.  A new execution
+path is a new row.
+
+:class:`ReorderingBroker` and :class:`FlightDroppingBroker` are negative
+controls: checks run over them must fail, or the oracle has no teeth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+import threading
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,20 +51,29 @@ from repro.core.stepping import drive_steps
 from repro.runtime.cache import CachedClassifier, QueryCache
 from repro.runtime.pool import WorkerPool
 from repro.runtime.tasks import AttackTaskRunner
-from repro.serve.broker import MicroBatchBroker
-from repro.serve.sessions import SessionManager
+from repro.serve.broker import BatchPolicy, BrokerStopped, MicroBatchBroker
+from repro.serve.sessions import (
+    CANCELLED,
+    DONE,
+    EXPIRED,
+    AttackSession,
+    SessionManager,
+)
 from repro.testkit.trace import TraceEvent, TraceRecorder, diff_events
 
-#: All execution paths the oracle knows how to drive.
-PATH_DIRECT = "direct"
-PATH_STEPPED = "stepped"
-PATH_POOLED = "pooled"
-PATH_SERVED = "served"
-DEFAULT_PATHS = (PATH_DIRECT, PATH_STEPPED, PATH_POOLED, PATH_SERVED)
+#: In-cell query cache size: big enough never to evict in a sweep, so
+#: cached cells exercise hits rather than churn.
+CACHE_SIZE = 1024
 
-#: Default in-cell query cache size (big enough never to evict in tests,
-#: so cached cells exercise hits rather than churn).
-DEFAULT_CACHE_SIZE = 1024
+#: Default speculative window of batched rows; not a divisor of common
+#: budgets, so truncated tail batches are exercised.
+DEFAULT_WINDOW = 5
+
+#: The execution paths a row can take.
+PATH_NAMES = ("direct", "stepped", "pooled", "served")
+
+#: Park verdicts and the terminal state each must leave a session in.
+PARKED = {"cancel": CANCELLED, "expire": EXPIRED}
 
 
 def result_fingerprint(result: Optional[AttackResult]) -> Tuple:
@@ -78,35 +106,96 @@ def results_equal(a: Optional[AttackResult], b: Optional[AttackResult]) -> bool:
 
 
 @dataclass(frozen=True)
+class Case:
+    """One seed's job: a classifier, an image, its true class, an attack."""
+
+    classifier: Callable
+    image: np.ndarray
+    true_class: int
+    attack: object
+
+    @classmethod
+    def of(cls, classifier, image, attack) -> "Case":
+        """The case attacking ``classifier``'s own decision on ``image``."""
+        image = np.asarray(image)
+        return cls(classifier, image, int(np.argmax(classifier(image))), attack)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """A row of a sweep table: one way to run a case.
+
+    ``path`` is one of :data:`PATH_NAMES`; ``cached`` puts a query cache
+    inside the counting boundary; ``batched`` steps with the runner's
+    speculative window instead of scalar.  ``park`` (a :data:`PARKED`
+    verdict) has a served session's observer set that verdict once
+    ``7 + seed % 40`` queries are charged, so ``drive`` parks the session
+    at its next query boundary.  ``classifier`` (``image -> model``)
+    attacks another model, and ``broker`` (``(classifier, cache) ->
+    broker``) serves through another broker.  ``reference`` names the row
+    this one must match; a row without one is a reference row, except a
+    parked row, whose reference is the scalar budget-``k`` run.
+    """
+
+    path: str
+    cached: bool = False
+    batched: bool = False
+    park: Optional[str] = None
+    classifier: Optional[Callable] = None
+    broker: Optional[Callable] = None
+    reference: Optional[str] = None
+
+    def __post_init__(self):
+        if self.path not in PATH_NAMES:
+            raise ValueError(f"unknown execution path {self.path!r}")
+        if self.park is not None and (self.park not in PARKED or self.path != "served"):
+            raise ValueError(f"cannot park a {self.path} run by {self.park!r}")
+
+
+@dataclass(frozen=True)
 class Cell:
-    """One point of the sweep grid."""
+    """One point of a sweep: a seed run one named way."""
 
     seed: int
-    path: str
-    cached: bool
+    axis: str
 
     def label(self) -> str:
-        cache = "cache" if self.cached else "nocache"
-        return f"seed={self.seed} path={self.path} {cache}"
+        return f"seed={self.seed} {self.axis}"
+
+
+@dataclass
+class Run:
+    """What one cell produced."""
+
+    result: Optional[AttackResult]
+    events: List[TraceEvent]
+    #: A served cell's session, whose own count must match its result's.
+    session: Optional[AttackSession] = None
+    #: ``False`` when the trace was taken below the counting boundary,
+    #: where a classifier hook records every query as counted.
+    stepwise: bool = True
 
 
 @dataclass
 class Divergence:
-    """One cell that disagreed with its seed's baseline."""
+    """One cell that disagreed with its reference."""
 
     cell: Cell
-    baseline: Tuple
+    reference: Tuple
     observed: Tuple
-    first_query: Optional[Dict] = None  # from trace.diff_events, if traceable
+    first_query: Optional[Dict] = None  # from trace.diff_events
+    detail: Optional[str] = None  # counted flags, accounting, park state
 
     def describe(self) -> str:
         lines = [
             f"divergence at {self.cell.label()}:",
-            f"  baseline result: {self.baseline}",
-            f"  observed result: {self.observed}",
+            f"  reference result: {self.reference}",
+            f"  observed result:  {self.observed}",
         ]
         if self.first_query is not None:
             lines.append(f"  first diverging query: {self.first_query}")
+        if self.detail is not None:
+            lines.append(f"  detail: {self.detail}")
         return "\n".join(lines)
 
 
@@ -125,24 +214,22 @@ class DifferentialReport:
     def describe(self) -> str:
         if self.ok:
             return (
-                f"differential sweep OK: {self.cells_run} cells over "
-                f"{self.seeds} seeds, zero divergences"
+                f"sweep OK: {self.cells_run} cells over {self.seeds} seeds, "
+                "zero divergences"
             )
         body = "\n".join(d.describe() for d in self.divergences)
         return (
-            f"differential sweep FAILED: {len(self.divergences)} of "
-            f"{self.cells_run} cells diverged\n{body}"
+            f"sweep FAILED: {len(self.divergences)} of {self.cells_run} "
+            f"cells diverged\n{body}"
         )
 
 
 class _TracingClassifier:
     """Forward queries, reporting ``(image, scores)`` to a recorder.
 
-    The classifier-level trace hook for paths that do not expose the
-    steppable protocol to the oracle (``direct``, inline ``pooled``):
-    every logical query is recorded as counted, which is fine for
-    divergence *localization* (digests and scores are compared, counted
-    flags are not -- see :func:`~repro.testkit.trace.diff_events`).
+    The trace hook of rows that never show the oracle their steps
+    (``direct``, inline ``pooled``): such traces localize divergences,
+    but record every query as counted.
     """
 
     def __init__(self, classifier, recorder: TraceRecorder):
@@ -155,210 +242,309 @@ class _TracingClassifier:
         return scores
 
 
+def one_session_broker(classifier, cache) -> MicroBatchBroker:
+    """The served rows' broker: it serves one session at a time, so each
+    query flushes at once instead of waiting out ``max_wait``."""
+    return MicroBatchBroker(
+        classifier, policy=BatchPolicy(max_batch_size=1), cache=cache
+    )
+
+
 class DifferentialRunner:
-    """Sweep seeds x execution paths x cache modes and compare results.
+    """Run the selected rows of a table for every seed; check every cell.
 
     Parameters
     ----------
-    attack_factory:
-        ``seed -> OnePixelAttack``.  Called once per cell so no attack
-        instance state can leak between cells.
-    classifier_factory:
-        ``seed -> classifier``.  Must return a *deterministic*
-        classifier; a fresh instance per cell keeps cells independent.
-    case_factory:
-        ``seed -> (image, true_class)``.
+    case:
+        ``seed -> Case``, called once per cell so no attack or model
+        state leaks between cells.
     seeds:
-        The seed sweep; acceptance-grade runs use at least 20.
+        The seed sweep.
+    table:
+        ``name -> Axis``, each reference row before the rows naming it.
+    axes:
+        Names of the rows to run (default: all); their reference rows
+        run too.
     budget:
-        Query budget applied in every cell.
-    paths / cache_modes:
-        The grid axes; defaults cover all four paths, cache off and on.
+        The query budget of every cell.
+    window:
+        The speculative batch size of batched rows.
     pool_workers:
-        Worker processes for the ``pooled`` path.  The default ``0``
-        runs the engine inline (same code path minus process transport)
-        which is what CI sweeps use for speed; nightly runs set 2.
-    broker_factory:
-        ``(classifier, cache) -> MicroBatchBroker`` override for the
-        ``served`` path.  Exists so negative tests can substitute a
-        deliberately broken broker and prove the oracle catches it.
+        Worker processes of ``pooled`` rows; ``0`` runs the engine
+        inline (the same code minus process transport), as CI does; the
+        nightly sweep sets 2.
     """
 
     def __init__(
         self,
-        attack_factory: Callable[[int], object],
-        classifier_factory: Callable[[int], Callable],
-        case_factory: Callable[[int], Tuple[np.ndarray, int]],
+        case: Callable[[int], Case],
         seeds: Iterable[int],
+        table: Mapping[str, Axis],
+        axes: Optional[Sequence[str]] = None,
         budget: Optional[int] = None,
-        paths: Sequence[str] = DEFAULT_PATHS,
-        cache_modes: Sequence[bool] = (False, True),
+        window: int = DEFAULT_WINDOW,
         pool_workers: int = 0,
-        broker_factory: Optional[Callable] = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
     ):
-        unknown = set(paths) - set(DEFAULT_PATHS)
+        names = list(table) if axes is None else list(axes)
+        unknown = set(names) - set(table)
         if unknown:
-            raise ValueError(f"unknown execution paths: {sorted(unknown)}")
-        self.attack_factory = attack_factory
-        self.classifier_factory = classifier_factory
-        self.case_factory = case_factory
+            raise ValueError(f"unknown axes: {sorted(unknown)}")
+        if window <= 0:
+            raise ValueError("window must be a positive batch size")
+        wanted = set(names) | {table[name].reference for name in names}
+        self.axes = [name for name in table if name in wanted]
+        self.case = case
         self.seeds = list(seeds)
+        self.table = table
         self.budget = budget
-        self.paths = tuple(paths)
-        self.cache_modes = tuple(cache_modes)
+        self.window = window
         self.pool_workers = pool_workers
-        self.broker_factory = broker_factory
-        self.cache_size = cache_size
 
-    # -- cell execution ----------------------------------------------------
+    # -- cells ---------------------------------------------------------------
 
-    def run_cell(
-        self, cell: Cell
-    ) -> Tuple[Optional[AttackResult], List[TraceEvent]]:
-        """Execute one grid cell: ``(result, trace_events)``.
+    def run_cell(self, cell: Cell) -> Run:
+        """Run one cell.  Public so a test can compare single cells across
+        runners, e.g. a frozen network's against an unfrozen one's."""
+        return self._run(cell, self.table[cell.axis], self.budget)
 
-        Public so targeted tests can compare single cells *across*
-        runners -- e.g. the inference-fast-path acceptance test runs the
-        stepped baseline of a frozen-classifier runner against the same
-        cell of an unfrozen runner and asserts decision-identity.
-        """
-        return self._run_cell(cell)
+    def budget_k(self, seed: int, k: int) -> Run:
+        """The scalar budget-``k`` run of ``seed``'s case: the reference of
+        a session parked after ``k`` charged queries."""
+        return self._run(Cell(seed, f"budget-{k}"), Axis("stepped"), k)
 
-    def _run_cell(
-        self, cell: Cell
-    ) -> Tuple[Optional[AttackResult], List[TraceEvent]]:
-        attack = self.attack_factory(cell.seed)
-        classifier = self.classifier_factory(cell.seed)
-        image, true_class = self.case_factory(cell.seed)
-        recorder = TraceRecorder(clean_image=image)
-
-        if cell.path == PATH_SERVED:
-            return self._run_served(cell, attack, classifier, image, true_class)
-
-        if cell.cached and cell.path in (PATH_DIRECT, PATH_STEPPED):
+    def _run(self, cell: Cell, axis: Axis, budget: Optional[int]) -> Run:
+        case = self.case(cell.seed)
+        if axis.classifier is not None:
+            case = Case.of(axis.classifier(case.image), case.image, case.attack)
+        recorder = TraceRecorder(clean_image=case.image)
+        window = self.window if axis.batched else 0
+        if axis.path == "served":
+            return self._served(cell, axis, case, budget, window, recorder)
+        classifier = case.classifier
+        if axis.cached and axis.path != "pooled":
             # inside the attack's counting boundary, like the engine does
-            classifier = CachedClassifier(classifier, maxsize=self.cache_size)
-
-        if cell.path == PATH_DIRECT:
-            traced = _TracingClassifier(classifier, recorder)
-            result = attack.attack(traced, image, true_class, budget=self.budget)
-        elif cell.path == PATH_STEPPED:
-            result = drive_steps(
-                attack.steps(image, true_class, budget=self.budget),
-                classifier,
-                observer=recorder,
+            classifier = CachedClassifier(classifier, maxsize=CACHE_SIZE)
+        if axis.path == "stepped":
+            steps = case.attack.steps(
+                case.image, case.true_class, budget=budget, batch_size=window
             )
-        elif cell.path == PATH_POOLED:
-            result = self._run_pooled(
-                cell, attack, classifier, image, true_class, recorder
+            result = drive_steps(steps, classifier, observer=recorder)
+            return Run(result, recorder.events)
+        traced = _TracingClassifier(classifier, recorder)
+        if axis.path == "direct":
+            result = case.attack.attack(
+                traced, case.image, case.true_class, budget=budget
             )
-        else:  # pragma: no cover - guarded in __init__
-            raise ValueError(f"unknown path {cell.path}")
-        return result, recorder.events
-
-    def _run_pooled(self, cell, attack, classifier, image, true_class, recorder):
-        if self.pool_workers == 0:
-            # inline engine: the tracing wrapper stays in-process
-            classifier = _TracingClassifier(classifier, recorder)
-        runner = AttackTaskRunner(
-            attack,
-            classifier,
-            budget=self.budget,
-            cache_size=self.cache_size if cell.cached else None,
-        )
-        pool = WorkerPool(workers=self.pool_workers)
-        outcomes = pool.map(
-            runner, [(image, true_class)], task_name=f"diff:{cell.label()}"
-        )
-        outcome = outcomes[0]
-        if not outcome.ok:
-            return None
-        return outcome.value.result
-
-    def _run_served(self, cell, attack, classifier, image, true_class):
-        cache = QueryCache(self.cache_size) if cell.cached else None
-        if self.broker_factory is not None:
-            broker = self.broker_factory(classifier, cache)
         else:
-            broker = MicroBatchBroker(classifier, cache=cache)
-        recorder = TraceRecorder(clean_image=image)
-        manager = SessionManager(broker, max_workers=1)
-        try:
-            session = manager.create(
-                attack, image, true_class, budget=self.budget, observer=recorder
+            task = AttackTaskRunner(
+                case.attack,
+                # a worker process cannot report back to this recorder
+                classifier if self.pool_workers else traced,
+                budget=budget,
+                cache_size=CACHE_SIZE if axis.cached else None,
             )
-            manager.run_cooperative([session])
+            outcome = WorkerPool(workers=self.pool_workers).map(
+                task, [(case.image, case.true_class)], task_name=f"diff:{cell.label()}"
+            )[0]
+            result = outcome.value.result if outcome.ok else None
+        return Run(result, recorder.events, stepwise=False)
+
+    def _served(self, cell, axis, case, budget, window, recorder) -> Run:
+        cache = QueryCache(CACHE_SIZE) if axis.cached else None
+        broker = (axis.broker or one_session_broker)(case.classifier, cache)
+        manager = SessionManager(broker.start(), max_workers=1)
+
+        def observe(query, scores):
+            recorder(query, scores)
+            if axis.park is not None and session.queries >= 7 + cell.seed % 40:
+                if axis.park == "cancel":
+                    session.request_cancel()
+                else:
+                    session.deadline_at = time.monotonic() - 1.0
+
+        session = manager.create(
+            case.attack,
+            case.image,
+            case.true_class,
+            budget=budget,
+            observer=observe,
+            batch_size=window,
+        )
+        try:
+            manager.drive(session)
         finally:
             manager.shutdown()
-        return session.result, recorder.events
+            broker.stop()
+        return Run(session.result, recorder.events, session)
 
-    # -- the sweep ---------------------------------------------------------
+    # -- the sweep -----------------------------------------------------------
 
     def run(self) -> DifferentialReport:
-        """Execute the full grid; every cell is compared to its seed's
-        baseline (the uncached ``stepped`` path, the thinnest driver)."""
+        """Run every selected cell of every seed against its reference."""
         report = DifferentialReport(seeds=len(self.seeds))
         for seed in self.seeds:
-            baseline_cell = Cell(seed=seed, path=PATH_STEPPED, cached=False)
-            baseline_result, baseline_trace = self._run_cell(baseline_cell)
-            report.cells_run += 1
-            baseline_print = result_fingerprint(baseline_result)
-            for path in self.paths:
-                for cached in self.cache_modes:
-                    cell = Cell(seed=seed, path=path, cached=cached)
-                    if cell == baseline_cell:
-                        continue
-                    result, trace = self._run_cell(cell)
-                    report.cells_run += 1
-                    observed = result_fingerprint(result)
-                    if observed == baseline_print:
-                        continue
-                    first = None
-                    if trace:
-                        first = diff_events(baseline_trace, trace)
-                    report.divergences.append(
-                        Divergence(
-                            cell=cell,
-                            baseline=baseline_print,
-                            observed=observed,
-                            first_query=first,
-                        )
-                    )
+            runs: Dict[str, Run] = {}
+            for name in self.axes:
+                cell, axis = Cell(seed, name), self.table[name]
+                runs[name] = run = self.run_cell(cell)
+                report.cells_run += 1
+                if axis.park is not None:
+                    reference = self.budget_k(seed, run.session.queries)
+                elif axis.reference is not None:
+                    reference = runs[axis.reference]
+                else:
+                    continue
+                divergence = _check(cell, axis, run, reference)
+                if divergence is not None:
+                    report.divergences.append(divergence)
         return report
 
 
-def _rotating_attack_factory():
-    """``seed -> attack``: rotates by ``seed % 4`` over the sketch attack,
-    the uniform-random baseline, CornerSearch and Sparse-RS (the last
-    three seeded with ``seed``), so sweeps cover every attack generator,
-    score-driven and RNG-driven, speculating and scalar-only."""
+def _accounting(run: Run) -> List[str]:
+    session, result = run.session, run.result
+    if session is None or result is None or session.queries == result.queries:
+        return []
+    return [
+        f"session counted {session.queries} queries, "
+        f"result reports {result.queries}"
+    ]
+
+
+def _check(cell: Cell, axis: Axis, run: Run, reference: Run) -> Optional[Divergence]:
+    """The one check: ``None`` when ``run`` matches ``reference``."""
+    problems = [f"reference {p}" for p in _accounting(reference)]
+    problems += _accounting(run)
+    if axis.park is not None:
+        state, k = run.session.state, run.session.queries
+        if state != PARKED[axis.park]:
+            problems.append(f"parked into {state!r}, expected {PARKED[axis.park]!r}")
+        charged = sum(event.counted for event in reference.events)
+        if charged != k:
+            problems.append(f"budget-{k} reference charged {charged} queries")
+    elif run.stepwise and reference.stepwise:
+        if [e.counted for e in run.events] != [e.counted for e in reference.events]:
+            problems.append("counted flags differ from the reference trace")
+    expected = result_fingerprint(reference.result)
+    observed = result_fingerprint(run.result)
+    if observed == expected and not problems:
+        return None
+    return Divergence(
+        cell,
+        expected,
+        observed,
+        first_query=diff_events(reference.events, run.events) if run.events else None,
+        detail="; ".join(problems) or None,
+    )
+
+
+# ----------------------------------------------------------------------
+# the tables
+# ----------------------------------------------------------------------
+
+
+def _frozen_network(image: np.ndarray):
+    return tiny_network_classifier(image_size=image.shape[0], frozen=True)
+
+
+def _batch_twins(modes: Mapping[str, Axis]) -> Dict[str, Axis]:
+    table: Dict[str, Axis] = {}
+    for name, axis in modes.items():
+        table[f"{name}/scalar"] = axis
+        table[name] = replace(axis, batched=True, reference=f"{name}/scalar")
+    return table
+
+
+#: Every execution path, cache off and on, against the uncached stepped run.
+PATHS = {
+    "stepped": Axis("stepped"),
+    "direct": Axis("direct", reference="stepped"),
+    "direct+cache": Axis("direct", cached=True, reference="stepped"),
+    "stepped+cache": Axis("stepped", cached=True, reference="stepped"),
+    "pooled": Axis("pooled", reference="stepped"),
+    "pooled+cache": Axis("pooled", cached=True, reference="stepped"),
+    "served": Axis("served", reference="stepped"),
+    "served+cache": Axis("served", cached=True, reference="stepped"),
+}
+
+#: Each mode batched (the row named after the mode) against the same mode
+#: stepped scalar (``<mode>/scalar``): the bare model, a served session
+#: over a cached broker, a frozen network's native batch forward, and a
+#: cached model.
+BATCH = _batch_twins(
+    {
+        "stepped": Axis("stepped"),
+        "served+cache": Axis("served", cached=True),
+        "frozen": Axis("stepped", classifier=_frozen_network),
+        "stepped+cache": Axis("stepped", cached=True),
+    }
+)
+
+#: Served sessions parked by each verdict, cache off and on, scalar and
+#: batched, each against its scalar budget-k run.
+LIFECYCLE = {
+    f"{name}/{'batched' if batched else 'scalar'}/{park}": Axis(
+        "served", cached=name.endswith("+cache"), batched=batched, park=park
+    )
+    for name in ("served", "served+cache")
+    for batched in (False, True)
+    for park in PARKED
+}
+
+_SKETCH_PROGRAM = """
+    [B1] score_diff(N(x), N(x[l<-p]), c_x) < 0.05
+    [B2] max(x[l]) > 0.5
+    [B3] score_diff(N(x), N(x[l<-p]), c_x) > 0.1
+    [B4] center(l) < 2
+"""
+
+#: The attack rotations of the toy sweeps: seed ``s`` runs
+#: ``rotation[s % len(rotation)]``.
+PATH_ROTATION = ("sketch", "uniform", "corner-search", "sparse-rs")
+BATCH_ROTATION = ("sketch", "uniform", "su-opa")
+
+
+def rotating_attack(seed: int, rotation: Sequence[str] = PATH_ROTATION):
+    """A fresh attack for ``seed``, picked from ``rotation`` by
+    ``seed % len(rotation)`` and seeded with ``seed``.
+
+    The sketch attack runs a reordering program, so speculation gets
+    invalidated mid-run; the rotations cover every attack generator,
+    score-driven and RNG-driven, speculating and scalar-only.
+    """
     from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
     from repro.attacks.random_search import UniformRandomAttack, UniformRandomConfig
     from repro.attacks.sketch_attack import SketchAttack
     from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
+    from repro.attacks.su_opa import SuOPA, SuOPAConfig
     from repro.core.dsl.parser import parse_program
 
-    program = parse_program(
-        """
-        [B1] score_diff(N(x), N(x[l<-p]), c_x) < 0.05
-        [B2] max(x[l]) > 0.5
-        [B3] score_diff(N(x), N(x[l<-p]), c_x) > 0.1
-        [B4] center(l) < 2
-        """
-    )
+    attacks = {
+        "sketch": lambda: SketchAttack(parse_program(_SKETCH_PROGRAM)),
+        "uniform": lambda: UniformRandomAttack(UniformRandomConfig(seed=seed)),
+        "corner-search": lambda: CornerSearch(CornerSearchConfig(seed=seed)),
+        "sparse-rs": lambda: SparseRS(SparseRSConfig(seed=seed)),
+        "su-opa": lambda: SuOPA(
+            SuOPAConfig(population_size=6, max_generations=3, seed=seed)
+        ),
+    }
+    return attacks[rotation[seed % len(rotation)]]()
 
-    def attack_factory(seed: int):
-        kind = seed % 4
-        if kind == 0:
-            return SketchAttack(program)
-        if kind == 1:
-            return UniformRandomAttack(UniformRandomConfig(seed=seed))
-        if kind == 2:
-            return CornerSearch(CornerSearchConfig(seed=seed))
-        return SparseRS(SparseRSConfig(seed=seed))
 
-    return attack_factory
+def toy_case(shape=(5, 5, 3), num_classes=3, rotation=PATH_ROTATION):
+    """``seed -> Case``: a smooth toy image on a fragile linear classifier,
+    attacked by :func:`rotating_attack`."""
+    from repro.classifier.toy import LinearPixelClassifier, make_toy_images
+
+    def case(seed: int) -> Case:
+        return Case.of(
+            LinearPixelClassifier(
+                shape, num_classes=num_classes, seed=7, temperature=0.05
+            ),
+            make_toy_images(1, shape, seed=seed)[0],
+            rotating_attack(seed, rotation),
+        )
+
+    return case
 
 
 def toy_runner(
@@ -368,35 +554,30 @@ def toy_runner(
     num_classes: int = 3,
     **kwargs,
 ) -> DifferentialRunner:
-    """The standard toy-classifier sweep used by CI and the nightly job.
+    """The :data:`PATHS` sweep CI and the nightly job run on toy cases.
 
-    Rotates over the paper's sketch attack, the uniform-random baseline,
-    CornerSearch and Sparse-RS by seed, over smooth toy images on a
-    fragile linear classifier, so the sweep covers every attack
-    generator.  Any keyword argument of :class:`DifferentialRunner` can
-    be overridden.
+    Any :class:`DifferentialRunner` keyword (``table`` included) can be
+    overridden.
     """
-    from repro.classifier.toy import LinearPixelClassifier, make_toy_images
-
-    attack_factory = _rotating_attack_factory()
-
-    def classifier_factory(seed: int):
-        return LinearPixelClassifier(
-            shape, num_classes=num_classes, seed=7, temperature=0.05
-        )
-
-    def case_factory(seed: int):
-        image = make_toy_images(1, shape, seed=seed)[0]
-        true_class = int(np.argmax(classifier_factory(seed)(image)))
-        return image, true_class
-
+    kwargs.setdefault("table", PATHS)
     return DifferentialRunner(
-        attack_factory,
-        classifier_factory,
-        case_factory,
-        seeds=seeds,
-        budget=budget,
-        **kwargs,
+        toy_case(shape, num_classes), seeds, budget=budget, **kwargs
+    )
+
+
+def toy_batch_runner(
+    seeds: Iterable[int] = range(20),
+    budget: int = 40,
+    shape: Tuple[int, int, int] = (5, 5, 3),
+    num_classes: int = 3,
+    **kwargs,
+) -> DifferentialRunner:
+    """The :data:`BATCH` sweep CI and the nightly job run on toy cases,
+    rotating the three batch-native generators (sketch, uniform random,
+    SU-OPA); the ``frozen`` rows attack a frozen tiny network instead."""
+    kwargs.setdefault("table", BATCH)
+    return DifferentialRunner(
+        toy_case(shape, num_classes, BATCH_ROTATION), seeds, budget=budget, **kwargs
     )
 
 
@@ -458,43 +639,196 @@ def network_runner(
     dtype=None,
     **kwargs,
 ) -> DifferentialRunner:
-    """A differential sweep against a real (tiny) convolutional network.
+    """The :data:`PATHS` sweep against a real (tiny) convolutional network.
 
-    The toy sweep (:func:`toy_runner`) exercises the execution paths;
-    this one additionally exercises the :mod:`repro.nn` forward stack
-    behind :class:`~repro.classifier.blackbox.NetworkClassifier` --
-    including, with ``frozen=True``, the inference fast path (folded
-    batch norms, reused im2col workspaces, skipped backward caches).
-    A frozen sweep must still be internally bit-identical across every
-    path x cache cell: freezing changes *how* scores are computed, not
-    the determinism of a given classifier instance.  Cross-checking a
-    frozen sweep against an unfrozen one is decision-level only; see
-    the fast-path acceptance tests.
+    Besides the execution paths, this exercises the :mod:`repro.nn`
+    forward stack behind
+    :class:`~repro.classifier.blackbox.NetworkClassifier` -- with
+    ``frozen=True``, the inference fast path (folded batch norms, reused
+    im2col workspaces, skipped backward caches).  A frozen sweep must
+    still be bit-identical across every cell: freezing changes *how*
+    scores are computed, not the determinism of one classifier.  A
+    frozen sweep against an unfrozen one is decision-level only; see the
+    fast-path acceptance tests.
     """
     from repro.classifier.toy import make_toy_images
 
-    attack_factory = _rotating_attack_factory()
-
-    def classifier_factory(seed: int):
-        return tiny_network_classifier(
-            image_size=image_size,
-            num_classes=num_classes,
-            frozen=frozen,
-            dtype=dtype,
+    def case(seed: int) -> Case:
+        return Case.of(
+            tiny_network_classifier(
+                image_size=image_size,
+                num_classes=num_classes,
+                frozen=frozen,
+                dtype=dtype,
+            ),
+            make_toy_images(1, (image_size, image_size, 3), seed=seed)[0],
+            rotating_attack(seed),
         )
 
-    shape = (image_size, image_size, 3)
+    kwargs.setdefault("table", PATHS)
+    return DifferentialRunner(case, seeds, budget=budget, **kwargs)
 
-    def case_factory(seed: int):
-        image = make_toy_images(1, shape, seed=seed)[0]
-        true_class = int(np.argmax(classifier_factory(seed)(image)))
-        return image, true_class
 
-    return DifferentialRunner(
-        attack_factory,
-        classifier_factory,
-        case_factory,
-        seeds=seeds,
-        budget=budget,
-        **kwargs,
+def toy_lifecycle_runner(
+    seeds: Iterable[int] = (1, 8, 20, 26),
+    budget: int = 100000,
+    attack_factory: Optional[Callable[[int], object]] = None,
+    **kwargs,
+) -> DifferentialRunner:
+    """The :data:`LIFECYCLE` sweep CI runs.
+
+    Every seed names a HARD_IMAGE_SEEDS case: a 6x6 image the fixed
+    sketch probes for 288 queries against the seed-1 three-class toy
+    model without ever succeeding, so every park boundary is reachable
+    and never races a success at exactly ``k`` (the one ambiguous
+    boundary, documented in
+    :meth:`~repro.serve.sessions.AttackSession.park`).
+
+    ``attack_factory`` (``seed -> attack``) defaults to the fixed sketch.
+    Any attack that only writes RGB corners -- Sparse-RS, CornerSearch --
+    keeps that guarantee, since these images resist all 288 corner
+    pairs.
+    """
+    from repro.attacks.fixed_sketch import FixedSketchAttack
+    from repro.classifier.toy import SmoothLinearClassifier
+
+    make_attack = attack_factory or (lambda seed: FixedSketchAttack())
+
+    def case(seed: int) -> Case:
+        return Case.of(
+            SmoothLinearClassifier(image_shape=(6, 6, 3), num_classes=3, seed=1),
+            np.random.default_rng(seed).random((6, 6, 3)),
+            make_attack(seed),
+        )
+
+    kwargs.setdefault("table", LIFECYCLE)
+    return DifferentialRunner(case, seeds, budget=budget, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# negative-control brokers
+# ----------------------------------------------------------------------
+
+
+class ReorderingBroker(MicroBatchBroker):
+    """Negative control: silently reverses every multi-query batch.
+
+    A single-query batch passes through untouched, so scalar stepping
+    over this broker stays correct -- exactly the bug class the batched
+    rows exist to catch (answers attributed to the wrong speculative
+    member).
+    """
+
+    def evaluate(self, images):
+        rows = super().evaluate(images)
+        if len(rows) > 1:
+            return list(reversed(rows))
+        return rows
+
+
+class FlightDroppingBroker(MicroBatchBroker):
+    """Negative control: abandon every flight once :attr:`drop` is set.
+
+    Models the bug class the co-batch settlement check exists to catch:
+    a cancellation path that tears down broker work other sessions are
+    riding on.  After ``drop.set()`` every evaluation raises, so any
+    co-batched session fails instead of settling -- a harness that does
+    not flag that as poisoning is not checking anything.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drop = threading.Event()
+
+    def evaluate(self, images):
+        if self.drop.is_set():
+            raise BrokerStopped("flight dropped after cancellation")
+        return super().evaluate(images)
+
+
+def cancel_during_flight(
+    broker_cls=MicroBatchBroker,
+    drop_on_cancel: bool = False,
+    progress_queries: int = 5,
+    timeout: float = 60.0,
+) -> Dict:
+    """Cancel one of two co-batched sessions mid-flight; both must settle.
+
+    Two deterministic HARD_IMAGE_SEEDS sessions (288 golden queries
+    each) run concurrently over one broker with a latency-padded
+    classifier, so their queries genuinely co-batch.  Once session A has
+    charged at least ``progress_queries``, it is cancelled (and, for the
+    negative control, the broker starts dropping flights).  Returns::
+
+        {
+            "cancelled_state":   A's terminal state,
+            "cancelled_queries": A's charged count at the park boundary,
+            "cancelled_exact":   A's parked result == budget-k reference,
+            "survivor_state":    B's terminal state,
+            "survivor_queries":  B's final count,
+            "survivor_golden":   288,
+            "settled":           B finished with the golden count,
+        }
+
+    The positive check asserts ``settled`` and ``cancelled_exact``; the
+    negative control (``broker_cls=FlightDroppingBroker,
+    drop_on_cancel=True``) asserts ``settled`` is False.
+    """
+    from repro.attacks.fixed_sketch import FixedSketchAttack
+    from repro.classifier.toy import SmoothLinearClassifier
+    from repro.serve.server import PerImageLatencyClassifier
+    from repro.testkit.kill import HARD_IMAGE_SEEDS
+
+    classifier = PerImageLatencyClassifier(
+        SmoothLinearClassifier(image_shape=(6, 6, 3), num_classes=3, seed=1),
+        latency=0.002,
     )
+    broker = broker_cls(classifier, cache=None)
+    broker.start()
+    manager = SessionManager(broker, max_workers=4)
+    try:
+        sessions = []
+        for image_seed in HARD_IMAGE_SEEDS[:2]:
+            image = np.random.default_rng(image_seed).random((6, 6, 3))
+            sessions.append(
+                manager.create(
+                    FixedSketchAttack(),
+                    image,
+                    int(np.argmax(classifier(image))),
+                    budget=100000,
+                )
+            )
+        victim, survivor = sessions
+        futures = [manager.start(session) for session in sessions]
+        deadline = time.monotonic() + timeout
+        while victim.queries < progress_queries:
+            if time.monotonic() > deadline:
+                raise TimeoutError("victim session made no progress")
+            time.sleep(0.005)
+        victim.request_cancel()
+        if drop_on_cancel and hasattr(broker, "drop"):
+            broker.drop.set()
+        for future in futures:
+            future.result(timeout=timeout)
+    finally:
+        manager.shutdown()
+        broker.stop()
+
+    cancelled_exact = False
+    if victim.result is not None:
+        reference = toy_lifecycle_runner().budget_k(
+            HARD_IMAGE_SEEDS[0], victim.queries
+        )
+        cancelled_exact = results_equal(victim.result, reference.result)
+    survivor_queries = (
+        survivor.result.queries if survivor.result is not None else None
+    )
+    return {
+        "cancelled_state": victim.state,
+        "cancelled_queries": victim.queries,
+        "cancelled_exact": cancelled_exact,
+        "survivor_state": survivor.state,
+        "survivor_queries": survivor_queries,
+        "survivor_golden": 288,
+        "settled": survivor.state == DONE and survivor_queries == 288,
+    }

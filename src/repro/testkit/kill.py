@@ -507,8 +507,8 @@ def cancel_and_kill_cluster(
 ) -> Dict:
     """Cancel one session, SIGKILL another's owner; the ledger must close.
 
-    The cluster half of the lifecycle fidelity story
-    (:mod:`repro.testkit.lifecycle` proves the in-process half).  Two
+    The cluster half of the lifecycle fidelity story (the differential
+    oracle's ``LIFECYCLE`` table proves the in-process half).  Two
     deterministic HARD_SEED sessions (288 golden queries each) run on a
     checkpointed ``workers``-replica tier:
 
@@ -534,7 +534,7 @@ def cancel_and_kill_cluster(
     from repro.runtime.checkpoint import CheckpointStore, open_sessions_from_records
     from repro.runtime.http import http_json
     from repro.serve.server import ServeConfig
-    from repro.testkit.lifecycle import toy_lifecycle_runner
+    from repro.testkit.differential import toy_lifecycle_runner
 
     workdir = workdir or tempfile.mkdtemp(prefix="repro-lifecycle-")
     checkpoint = os.path.join(workdir, "ledger")
@@ -589,7 +589,7 @@ def cancel_and_kill_cluster(
     # same image under budget=k must report exactly the cancelled count
     exact = False
     if isinstance(cancelled_k, int) and cancelled_k > 0:
-        golden = toy_lifecycle_runner().run_golden(victim_seed, cancelled_k)
+        golden = toy_lifecycle_runner().budget_k(victim_seed, cancelled_k)
         exact = (
             golden.result is not None
             and golden.result.queries == cancelled_k

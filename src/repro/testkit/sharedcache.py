@@ -8,15 +8,13 @@ because cache hits -- local or remote -- are still counted queries and
 the classifier is deterministic.  This module pins that claim from two
 directions:
 
-- :func:`shared_cache_sweep` -- an in-process differential sweep riding
-  :class:`~repro.testkit.differential.DifferentialRunner`'s ``served``
-  path with its ``broker_factory`` hook: every cell's broker cache is
-  wrapped in a :class:`~repro.runtime.cache.TieredQueryCache` over an
+- :func:`shared_cache_sweep` -- the L2 table of the differential oracle
+  (:mod:`repro.testkit.differential`): served rows whose broker cache is
+  a :class:`~repro.runtime.cache.TieredQueryCache` over an
   :class:`InMemorySharedCache` (fresh, pre-warmed, fault-injected after
-  N operations, or dead from the first), and every cell must match the
-  private-cache baseline exactly.  The warm mode also proves the tier
-  *works*: its second pass over a seed must score zero model-fresh
-  queries beyond what L2 misses explain (``hits > 0``).
+  a few operations, or dead from the first), each required to match the
+  private-cache served run exactly.  The warm rows also prove the tier
+  *works*: the second run over a warmed tier must hit it.
 - :func:`live_shared_cache_smoke` -- the CI tier smoke: a real
   2-worker cluster with ``--shared-cache``, the deterministic
   HARD_SEED session submitted until two distinct replicas have served
@@ -37,16 +35,18 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.runtime.cache import TieredQueryCache
-from repro.serve.broker import MicroBatchBroker
 from repro.testkit.differential import (
-    PATH_SERVED,
-    Cell,
-    result_fingerprint,
-    toy_runner,
+    Axis,
+    DifferentialRunner,
+    one_session_broker,
+    toy_case,
 )
 
 #: The L2 behaviours the sweep proves equivalent to the private baseline.
 L2_MODES = ("off", "fresh", "warm", "faulted", "dead")
+
+#: Operations a ``faulted`` tier serves before failing mid-run.
+FAIL_AFTER = 3
 
 
 class InMemorySharedCache:
@@ -99,9 +99,9 @@ class InMemorySharedCache:
 def tiered_broker_factory(
     shared: InMemorySharedCache, cooldown: float = 0.0
 ) -> Callable:
-    """A ``DifferentialRunner`` ``broker_factory`` wiring in an L2.
+    """A served row's ``broker``, wiring in an L2.
 
-    Wraps each served cell's private :class:`QueryCache` (the L1) in a
+    Wraps the cell's private :class:`QueryCache` (the L1) in a
     :class:`TieredQueryCache` over ``shared``.  Uncached cells stay
     uncached -- no L1 means no tier to promote into.  ``cooldown=0``
     retries a failing L2 on every batch, the most adversarial setting
@@ -114,7 +114,7 @@ def tiered_broker_factory(
             if cache is None
             else TieredQueryCache(cache, shared, cooldown=cooldown)
         )
-        return MicroBatchBroker(classifier, cache=tiered)
+        return one_session_broker(classifier, tiered)
 
     return factory
 
@@ -123,19 +123,18 @@ def shared_cache_sweep(
     seeds: Iterable[int] = range(12),
     budget: int = 40,
     modes: Sequence[str] = L2_MODES,
-    fail_after: int = 3,
 ) -> Dict:
-    """Differential proof: every L2 mode matches the private baseline.
+    """Differential proof: every L2 mode matches the private-cache run.
 
-    For each seed, the private-cache ``served`` cell is the baseline;
-    then per mode:
+    For each seed the private-cache served run is the reference; then
+    per mode:
 
-    - ``off``     -- plain private cache (control: equals baseline);
+    - ``off``     -- plain private cache (control: equals the reference);
     - ``fresh``   -- an empty L2 per cell (write-through, no hits);
-    - ``warm``    -- one L2 shared across *two* runs of the cell: the
-      first warms it, the second must serve L1 misses from it
-      (``warm_hits > 0`` proves cross-session sharing) and still match;
-    - ``faulted`` -- the L2 dies after ``fail_after`` operations,
+    - ``warm``    -- one L2 shared by *two* runs of the cell: the first
+      warms it, the second must serve L1 misses from it (``warm_hits >
+      0`` proves cross-session sharing) and still match;
+    - ``faulted`` -- the L2 dies after :data:`FAIL_AFTER` operations,
       mid-run, and the cell silently degrades;
     - ``dead``    -- the L2 fails from the very first round trip.
 
@@ -145,81 +144,44 @@ def shared_cache_sweep(
     unknown = set(modes) - set(L2_MODES)
     if unknown:
         raise ValueError(f"unknown L2 modes: {sorted(unknown)}")
+    warm: List[InMemorySharedCache] = []
+
+    def warming() -> InMemorySharedCache:
+        warm.append(InMemorySharedCache())
+        return warm[-1]
+
+    def tiered(make: Callable[[], InMemorySharedCache]) -> Callable:
+        """A broker tiered over the L2 ``make()`` returns for its cell."""
+        return lambda classifier, cache: tiered_broker_factory(make())(
+            classifier, cache
+        )
+
+    rows = {
+        "off": None,
+        "fresh": tiered(InMemorySharedCache),
+        # a seed's rows run in table order: warm(2) reads the tier its
+        # warm(1) just filled
+        "warm(1)": tiered(warming),
+        "warm(2)": tiered(lambda: warm[-1]),
+        "faulted": tiered(lambda: InMemorySharedCache(fail_after=FAIL_AFTER)),
+        "dead": tiered(lambda: InMemorySharedCache(fail_after=0)),
+    }
+    table = {"private": Axis("served", cached=True)}
+    for name, broker in rows.items():
+        if name.split("(")[0] in modes:
+            table[name] = Axis(
+                "served", cached=True, broker=broker, reference="private"
+            )
     seeds = list(seeds)
-    divergences: List[Dict] = []
-    cells = 0
-    warm_hits = 0
-
-    def run_with(factory, seed: int):
-        runner = toy_runner(
-            seeds=[seed],
-            budget=budget,
-            paths=(PATH_SERVED,),
-            cache_modes=(True,),
-            broker_factory=factory,
-        )
-        result, _trace = runner.run_cell(
-            Cell(seed=seed, path=PATH_SERVED, cached=True)
-        )
-        return result_fingerprint(result)
-
-    for seed in seeds:
-        baseline = run_with(None, seed)
-        cells += 1
-        observations: List = []
-        if "off" in modes:
-            observations.append(("off", run_with(None, seed)))
-        if "fresh" in modes:
-            observations.append(
-                ("fresh", run_with(tiered_broker_factory(InMemorySharedCache()), seed))
-            )
-        if "warm" in modes:
-            shared = InMemorySharedCache()
-            factory = tiered_broker_factory(shared)
-            observations.append(("warm(1)", run_with(factory, seed)))
-            before = shared.hits
-            observations.append(("warm(2)", run_with(factory, seed)))
-            warm_hits += shared.hits - before
-        if "faulted" in modes:
-            observations.append(
-                (
-                    "faulted",
-                    run_with(
-                        tiered_broker_factory(
-                            InMemorySharedCache(fail_after=fail_after)
-                        ),
-                        seed,
-                    ),
-                )
-            )
-        if "dead" in modes:
-            observations.append(
-                (
-                    "dead",
-                    run_with(
-                        tiered_broker_factory(InMemorySharedCache(fail_after=0)),
-                        seed,
-                    ),
-                )
-            )
-        for mode, observed in observations:
-            cells += 1
-            if observed != baseline:
-                divergences.append(
-                    {
-                        "seed": seed,
-                        "mode": mode,
-                        "baseline": repr(baseline),
-                        "observed": repr(observed),
-                    }
-                )
+    report = DifferentialRunner(toy_case(), seeds, table, budget=budget).run()
+    warm_hits = sum(shared.hits for shared in warm)
     return {
         "seeds": len(seeds),
-        "cells": cells,
+        "cells": report.cells_run,
         "modes": list(modes),
-        "divergences": divergences,
+        "divergences": [d.describe() for d in report.divergences],
         "warm_hits": warm_hits,
-        "ok": not divergences and ("warm" not in modes or warm_hits > 0),
+        "ok": report.ok and ("warm" not in modes or warm_hits > 0),
     }
 
 

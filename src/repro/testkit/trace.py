@@ -129,9 +129,8 @@ class TraceRecorder:
       real classifier (via :func:`~repro.core.stepping.drive_steps`)
       and captures the full event stream;
     - as a bare ``observer(query, scores)`` callback, pluggable into
-      :func:`~repro.core.stepping.drive_steps`, an
-      :class:`~repro.serve.sessions.AttackSession`, or a
-      :class:`~repro.serve.broker.MicroBatchBroker`, for tracing
+      :func:`~repro.core.stepping.drive_steps` or an
+      :class:`~repro.serve.sessions.AttackSession`, for tracing
       executions the recorder does not itself drive.
     """
 
@@ -146,7 +145,7 @@ class TraceRecorder:
         """Record one answered query (observer-callback form).
 
         Accepts either a :class:`~repro.core.stepping.Query` or a bare
-        image array (the broker hook passes images).
+        image array (a classifier-level hook passes images).
         """
         if isinstance(query, Query):
             image, counted = query.image, query.counted

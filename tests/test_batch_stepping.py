@@ -217,15 +217,12 @@ class TestSessionAccounting:
     """Batched sessions count queries at consumption time and still
     satisfy ``session.queries == result.queries``."""
 
-    @pytest.mark.parametrize("driver", ["cooperative", "threaded"])
-    def test_batched_session_matches_scalar(
-        self, driver, linear_classifier, image
-    ):
+    def test_batched_session_matches_scalar(self, linear_classifier, image):
         true_class = int(np.argmax(linear_classifier(image)))
         attack = UniformRandomAttack(UniformRandomConfig(seed=5))
         scalar, _ = _run(attack, linear_classifier, image, true_class, 60, 0)
 
-        broker = MicroBatchBroker(linear_classifier)
+        broker = MicroBatchBroker(linear_classifier).start()
         manager = SessionManager(broker, max_workers=1)
         try:
             session = manager.create(
@@ -235,11 +232,7 @@ class TestSessionAccounting:
                 budget=60,
                 batch_size=7,
             )
-            if driver == "cooperative":
-                manager.run_cooperative([session])
-            else:
-                broker.start()
-                manager.drive(session)
+            manager.drive(session)
         finally:
             manager.shutdown()
             broker.stop()

@@ -703,6 +703,39 @@ class TestSessionTable:
         records, _ = CheckpointStore(str(tmp_path)).records()
         assert list(open_sessions_from_records(records)) == [accepted["id"]]
 
+    def test_ids_stay_unique_across_restarts(self, monkeypatch, tmp_path):
+        """c1 is left open and c2 settles; a restart settles c1; after a
+        second restart the next session must not be issued c2 again."""
+        from repro.cluster.workers import LIVE
+
+        def boot(resume):
+            router = ClusterRouter(
+                ClusterConfig(workers=1, checkpoint=str(tmp_path), resume=resume)
+            )
+            router.workers[0].state = LIVE
+            router.ring.add("w0")
+            router._forward_submit = lambda *a: (202, {"id": a[1]})
+            if resume:
+                router.resume_sessions()
+            return router
+
+        monkeypatch.setattr(
+            "repro.cluster.router.http_json",
+            lambda address, method, path, **kwargs: (200, {"state": "done"}),
+        )
+        router = boot(resume=False)
+        issued = [router.submit(b"{}", "t")[1]["id"] for _ in range(2)]
+        assert issued == ["c1", "c2"]
+        assert router.get_session("c2")[1]["state"] == "done"
+        router.ledger.close()
+        router = boot(resume=True)
+        assert router.get_session("c1")[1]["state"] == "done"
+        router.ledger.close()
+        router = boot(resume=True)
+        status, accepted = router.submit(b"{}", "t")
+        router.ledger.close()
+        assert status == 202 and accepted["id"] not in issued
+
     def test_start_without_resume_keeps_new_ids_off_the_ledger(
         self, monkeypatch, tmp_path
     ):

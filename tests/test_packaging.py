@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,7 @@ PACKAGES = [
     "repro.defense",
     "repro.runtime",
     "repro.serve",
+    "repro.testkit",
 ]
 
 
@@ -58,3 +61,19 @@ class TestImports:
     def test_every_module_has_a_docstring(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} lacks a module docstring"
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize(
+        "module", ["repro.testkit.kill", "repro.testkit.sharedcache"]
+    )
+    def test_python_m_runs_the_module_once(self, module):
+        """``python -m`` must not find the module already imported by its
+        package: runpy would warn, and the module would exist twice."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

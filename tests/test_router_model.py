@@ -12,6 +12,7 @@ router's query accounting rests on:
 - the ledger's open set equals the router's open set (an open session
   is durable from acceptance or restore until it settles);
 - each id has at most one ``session_done`` record;
+- an id returned by submit is never returned again, across restarts;
 - a settled session's poll answer never changes;
 - an open session is held by at most one worker, and its owner is in
   the ring or ``None``;
@@ -62,6 +63,8 @@ class RouterLedgerMachine(RuleBasedStateMachine):
         self.running_on = {}
         #: First answer seen for each settled session, this router run.
         self.answers = {}
+        #: Every id submit returned, across all router runs.
+        self.issued = []
         self.client = mock.patch("repro.cluster.router.http_json", self._worker)
         self.client.start()
         self.router = self._boot(resume=False)
@@ -126,6 +129,8 @@ class RouterLedgerMachine(RuleBasedStateMachine):
             spec["deadline_seconds"] = 30.0
         status, payload = self.router.submit(json.dumps(spec).encode(), "t")
         assert status == (forward if len(self.router.ring) else 503)
+        if status == 202:
+            self.issued.append(payload["id"])
         return payload.get("id", "refused")
 
     @rule(session_id=sessions, method=st.sampled_from(["GET", "DELETE"]), reply=REPLY)
@@ -179,16 +184,18 @@ class RouterLedgerMachine(RuleBasedStateMachine):
         entry = self.router._open[data.draw(st.sampled_from(timed))]
         entry.accepted_at -= entry.deadline_seconds + 1.0
 
-    @rule(forward=FORWARD)
-    def restart(self, forward):
-        """The router crashes and a new one resumes from the ledger;
-        the workers restart with it, so nothing runs anywhere."""
-        self.router.ledger.close()
+    @rule(forward=FORWARD, times=st.integers(min_value=1, max_value=2))
+    def restart(self, forward, times):
+        """The router crashes and a new one resumes from the ledger, once
+        or twice in a row; the workers restart with it, so nothing runs
+        anywhere."""
         self.forward_status = forward
-        self.running_on = {}
-        self.answers = {}
-        self.router = self._boot(resume=True)
-        self.router.resume_sessions()
+        for _ in range(times):
+            self.router.ledger.close()
+            self.running_on = {}
+            self.answers = {}
+            self.router = self._boot(resume=True)
+            self.router.resume_sessions()
 
     # ------------------------------------------------------------------
     # invariants
@@ -208,6 +215,16 @@ class RouterLedgerMachine(RuleBasedStateMachine):
     def each_id_settles_once_in_the_ledger(self):
         done = [r["id"] for r in self._ledger() if r["kind"] == "session_done"]
         assert len(done) == len(set(done)), sorted(done)
+
+    @invariant()
+    def issued_ids_are_never_reissued(self):
+        assert len(self.issued) == len(set(self.issued)), self.issued
+        # the next id starts past every id ever issued, in this router
+        # and in the next one, which starts past the ids its ledger names
+        highest = max((int(i[1:]) for i in self.issued), default=0)
+        in_ledger = max((int(r["id"][1:]) for r in self._ledger()), default=0)
+        assert self.router._next_id > highest, (self.router._next_id, highest)
+        assert in_ledger >= highest, (in_ledger, highest)
 
     @invariant()
     def settled_answers_never_change(self):
@@ -236,5 +253,5 @@ TestRouterLedger = RouterLedgerMachine.TestCase
 TestRouterLedger.settings = (
     settings(deadline=None)
     if settings.get_current_profile_name() == "nightly"
-    else settings(max_examples=40, stateful_step_count=25, deadline=None)
+    else settings(max_examples=100, stateful_step_count=25, deadline=None)
 )

@@ -177,7 +177,8 @@ class TestBrokerDeterminism:
         broker = MicroBatchBroker(classifier, cache=QueryCache(256))
         manager = SessionManager(broker)
         session = manager.create(attack_factory(), image, true_class, budget=400)
-        manager.run_cooperative([session])
+        with broker:
+            manager.drive(session)
         manager.shutdown()
 
         served = session.result

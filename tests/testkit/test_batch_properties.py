@@ -11,6 +11,8 @@ arbitrary seeds, windows, and budgets:
   result and never counting speculative tails.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,15 @@ from hypothesis import strategies as st
 import repro.testkit.generators as gen
 from repro.classifier.toy import LinearPixelClassifier
 from repro.core.stepping import drive_steps
-from repro.testkit.batching import _three_way_attack_factory
-from repro.testkit.differential import result_fingerprint
+from repro.testkit.differential import (
+    BATCH_ROTATION,
+    result_fingerprint,
+    rotating_attack,
+)
 from repro.testkit.trace import TraceRecorder
 
 SHAPE = (5, 5, 3)
-ATTACK_FACTORY = _three_way_attack_factory()
+ATTACK_FACTORY = partial(rotating_attack, rotation=BATCH_ROTATION)
 
 windows = st.integers(min_value=1, max_value=9)
 

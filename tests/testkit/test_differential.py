@@ -6,19 +6,23 @@ run this file deliberately breaks the broker in two ways (lagged scores,
 cross-session batch reversal) and asserts the oracle catches both.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.attacks.base import AttackResult
-from repro.serve.broker import MicroBatchBroker
+from repro.serve.broker import BatchPolicy, MicroBatchBroker
 from repro.serve.sessions import SessionManager
 from repro.testkit.differential import (
-    DEFAULT_PATHS,
+    PATHS,
+    Axis,
     Cell,
-    DifferentialRunner,
+    ReorderingBroker,
     network_runner,
     result_fingerprint,
     results_equal,
+    toy_case,
     toy_runner,
 )
 
@@ -56,10 +60,14 @@ class TestFingerprint:
 class TestRunnerValidation:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
-            toy_runner(paths=("direct", "warp-drive"))
+            toy_runner(axes=("direct", "warp-drive"))
+        with pytest.raises(ValueError):
+            Axis("warp-drive")
+        with pytest.raises(ValueError):
+            Axis("stepped", park="cancel")  # only a served session parks
 
     def test_cell_label_reads_well(self):
-        assert Cell(3, "served", True).label() == "seed=3 path=served cache"
+        assert Cell(3, "served+cache").label() == "seed=3 served+cache"
 
 
 class TestAcceptanceSweep:
@@ -69,8 +77,7 @@ class TestAcceptanceSweep:
         runner = toy_runner(seeds=range(20))
         report = runner.run()
         assert report.ok, report.describe()
-        expected = 20 * len(DEFAULT_PATHS) * 2
-        assert report.cells_run == expected
+        assert report.cells_run == 20 * len(PATHS) == 160
         assert "zero divergences" in report.describe()
 
 
@@ -94,9 +101,9 @@ class TestNetworkSweep:
         plain = network_runner(seeds=range(4))
         frozen = network_runner(seeds=range(4), frozen=True)
         for seed in range(4):
-            cell = Cell(seed, "stepped", False)
-            a, _ = plain.run_cell(cell)
-            b, _ = frozen.run_cell(cell)
+            cell = Cell(seed, "stepped")
+            a = plain.run_cell(cell).result
+            b = frozen.run_cell(cell).result
             assert results_equal(a, b), f"seed {seed}: frozen diverged"
 
     @pytest.mark.slow
@@ -105,7 +112,7 @@ class TestNetworkSweep:
         all bit-identical to each other under the fast path."""
         report = network_runner(seeds=range(20), frozen=True).run()
         assert report.ok, report.describe()
-        assert report.cells_run == 20 * len(DEFAULT_PATHS) * 2
+        assert report.cells_run == 20 * len(PATHS)
 
 
 class _LaggedBroker(MicroBatchBroker):
@@ -126,23 +133,14 @@ class _LaggedBroker(MicroBatchBroker):
         return served
 
 
-class _ReversingBroker(MicroBatchBroker):
-    """A deliberately broken broker: answers within a flush are returned
-    in reverse order, crossing wires between concurrent sessions."""
-
-    def evaluate(self, images):
-        return super().evaluate(list(images))[::-1]
-
-
 class TestNegativeControls:
     def test_lagged_broker_is_caught_and_localized(self):
+        lagged = replace(
+            PATHS["served"],
+            broker=lambda classifier, cache: _LaggedBroker(classifier, cache=cache),
+        )
         runner = toy_runner(
-            seeds=range(4),
-            paths=("served",),
-            cache_modes=(False,),
-            broker_factory=lambda classifier, cache: _LaggedBroker(
-                classifier, cache=cache
-            ),
+            seeds=range(4), table={"stepped": PATHS["stepped"], "served": lagged}
         )
         report = runner.run()
         assert not report.ok, "the oracle must catch a misrouting broker"
@@ -152,31 +150,35 @@ class TestNegativeControls:
         assert "first diverging query" in report.describe()
 
     def _two_session_results(self, broker_cls):
-        runner = toy_runner()
-        cases = [runner.case_factory(seed) for seed in (0, 2)]
-        classifier = runner.classifier_factory(0)
-        broker = broker_cls(classifier)
-        manager = SessionManager(broker, max_workers=1)
+        """Seeds 0 and 2 (the sketch attack and CornerSearch) served
+        concurrently by ``drive`` over one broker whose flushes wait for
+        both sessions' queries."""
+        case = toy_case()
+        cases = [case(seed) for seed in (0, 2)]
+        broker = broker_cls(
+            cases[0].classifier, policy=BatchPolicy(max_batch_size=2, max_wait=0.05)
+        ).start()
+        manager = SessionManager(broker, max_workers=2)
         try:
             sessions = [
-                manager.create(runner.attack_factory(seed), image, true_class, budget=40)
-                for seed, (image, true_class) in zip((0, 2), cases)
+                manager.create(c.attack, c.image, c.true_class, budget=40)
+                for c in cases
             ]
-            manager.run_cooperative(sessions)
+            for future in [manager.start(session) for session in sessions]:
+                future.result(timeout=60)
         finally:
             manager.shutdown()
+            broker.stop()
         direct = [
-            runner.attack_factory(seed).attack(
-                runner.classifier_factory(seed), image, true_class, budget=40
-            )
-            for seed, (image, true_class) in zip((0, 2), cases)
+            c.attack.attack(c.classifier, c.image, c.true_class, budget=40)
+            for c in map(case, (0, 2))
         ]
         return [session.result for session in sessions], direct
 
     def test_reversing_broker_crosses_session_wires(self):
-        """With two concurrent sessions the cooperative batch has size 2,
-        so reversing a flush hands each session the other's scores."""
-        served, direct = self._two_session_results(_ReversingBroker)
+        """With two concurrent sessions a flush holds one query of each,
+        so reversing it hands each session the other's scores."""
+        served, direct = self._two_session_results(ReorderingBroker)
         assert not all(
             results_equal(s, d) for s, d in zip(served, direct)
         ), "a batch-reversing broker must not produce identical results"
@@ -196,6 +198,6 @@ class TestPooledWithProcesses:
         """Process-backed pooled execution (the nightly configuration)
         stays bit-identical too; slow because of process startup."""
         report = toy_runner(
-            seeds=range(2), paths=("pooled",), pool_workers=2
+            seeds=range(2), axes=("pooled", "pooled+cache"), pool_workers=2
         ).run()
         assert report.ok, report.describe()

@@ -1,14 +1,17 @@
-"""The lifecycle equivalence oracle, and proof that it has teeth."""
+"""The differential oracle's lifecycle table, and proof that it has teeth."""
 
 import pytest
 
 from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
 from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
-from repro.testkit.lifecycle import (
+from repro.testkit.differential import (
+    LIFECYCLE,
+    Axis,
+    Cell,
+    DifferentialRunner,
     FlightDroppingBroker,
-    LifecycleCell,
-    LifecycleEquivalenceRunner,
     cancel_during_flight,
+    results_equal,
     toy_lifecycle_runner,
 )
 
@@ -17,8 +20,8 @@ class TestSweep:
     def test_single_seed_sweep_is_clean(self):
         report = toy_lifecycle_runner(seeds=(1,)).run()
         assert report.ok, report.describe()
-        # 1 seed x {direct, broker} x {scalar, batched} x {cancel, expire}
-        assert report.cells_run == 8
+        # 1 seed x cache {off, on} x {scalar, batched} x {cancel, expire}
+        assert report.cells_run == len(LIFECYCLE) == 8
         assert "zero divergences" in report.describe()
 
     @pytest.mark.parametrize(
@@ -34,43 +37,42 @@ class TestSweep:
         the budget-k result, not an empty one."""
         report = toy_lifecycle_runner(attack_factory=attack_factory).run()
         assert report.ok, report.describe()
-        # 4 seeds x {direct, broker} x {scalar, batched} x {cancel, expire}
+        # 4 seeds x cache {off, on} x {scalar, batched} x {cancel, expire}
         assert report.cells_run == 32
 
     def test_parked_cell_matches_budget_k_exactly(self):
+        """Seed 8's observer sets the verdict once 7 + 8 % 40 = 15
+        queries are charged; ``drive`` parks the session at the next
+        boundary with a result bit-identical to the budget-k run."""
         runner = toy_lifecycle_runner(seeds=(8,))
-        cell = LifecycleCell(
-            seed=8, path="direct", batched=True, kind="expire", k_target=12
-        )
-        parked = runner.run_parked(cell)
+        parked = runner.run_cell(Cell(8, "served/batched/expire")).session
         assert parked.state == "expired"
-        assert parked.queries >= 12
+        assert parked.queries >= 15
         assert parked.result is not None
         assert parked.result.queries == parked.queries
-        golden = runner.run_golden(8, parked.queries)
-        assert golden.queries == parked.queries
-        assert golden.result.success is False
+        reference = runner.budget_k(8, parked.queries)
+        assert sum(event.counted for event in reference.events) == parked.queries
+        assert reference.result.success is False
+        assert results_equal(parked.result, reference.result)
 
     def test_unknown_axes_rejected(self):
         with pytest.raises(ValueError):
-            toy_lifecycle_runner(seeds=(1,), paths=("direct", "teleport"))
+            toy_lifecycle_runner(seeds=(1,), axes=("served/scalar/teleport",))
         with pytest.raises(ValueError):
-            toy_lifecycle_runner(seeds=(1,), kinds=("cancel", "maybe"))
+            Axis("served", park="maybe")
         with pytest.raises(ValueError):
             toy_lifecycle_runner(seeds=(1,), window=0)
 
     def test_oracle_catches_a_lying_park(self):
         """A park that misreports its count must surface as a divergence."""
-        runner = toy_lifecycle_runner(seeds=(1,), kinds=("cancel",),
-                                      paths=("direct",))
-        original = LifecycleEquivalenceRunner.run_parked
+        runner = toy_lifecycle_runner(seeds=(1,), axes=("served/scalar/cancel",))
 
-        def lying_park(self, cell):
-            session = original(self, cell)
-            session.queries += 1  # off-by-one accounting bug
-            return session
+        def lying_park(cell):
+            run = DifferentialRunner.run_cell(runner, cell)
+            run.session.queries += 1  # off-by-one accounting bug
+            return run
 
-        runner.run_parked = lying_park.__get__(runner)
+        runner.run_cell = lying_park
         report = runner.run()
         assert not report.ok
         assert "diverged" in report.describe()
