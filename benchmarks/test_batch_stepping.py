@@ -13,6 +13,14 @@ The attack is the budget-exhausting fixed sketch (a constant-False
 program enumerates pairs in priority order without score-driven
 reordering), so every speculative window is consumed in full and the
 measured gap is the protocol's, not the program's.
+
+The second case is a served Sparse-RS session on serve's default toy
+model, driven by ``SessionManager.drive`` over a started broker with the
+default policy.  Scalar, each of its queries waits in the broker queue
+for a flush (up to ``max_wait``); speculating, it poses its next steps
+as one batch that ``submit_many`` answers on the session's thread.  The
+batched session must give the scalar result and run at least **5x**
+faster.
 """
 
 import time
@@ -21,9 +29,13 @@ import numpy as np
 
 from conftest import write_bench_result, write_result
 from repro.attacks.fixed_sketch import FixedSketchAttack
+from repro.attacks.sparse_rs import SparseRS
 from repro.classifier.blackbox import NetworkClassifier
 from repro.core.stepping import drive_steps
 from repro.models.registry import build_model
+from repro.serve.broker import MicroBatchBroker
+from repro.serve.server import ServeConfig, build_classifier
+from repro.serve.sessions import SessionManager
 from repro.testkit.differential import result_fingerprint
 
 ARCH = "googlenet"
@@ -33,6 +45,7 @@ BUDGET = 192
 WINDOW = 32  # the serving default (BatchPolicy.max_batch_size)
 REPEATS = 3
 PROBE_SEEDS = 8
+SERVED_BUDGET = 128  # serve_toy's budget
 
 
 def _classifier():
@@ -46,53 +59,54 @@ def _classifier():
     return NetworkClassifier(model, dtype=np.float32, freeze=True)
 
 
-def _run(attack, classifier, image, true_class, batch_size):
-    return drive_steps(
-        attack.steps(image, true_class, budget=BUDGET, batch_size=batch_size),
-        classifier,
-    )
-
-
-def _pick_case(classifier):
-    """The first probe image whose session spends the full budget (the
-    latency-relevant case); falls back to the longest session found."""
+def _pick_case(classifier, run, shape, budget):
+    """The first probe image whose scalar session spends the full budget
+    (the latency-relevant case); falls back to the longest session found.
+    ``run(image, true_class, batch_size)`` runs one session."""
     best = None
     for seed in range(PROBE_SEEDS):
-        image = np.random.default_rng(10 + seed).random(
-            (IMAGE_SIZE, IMAGE_SIZE, 3)
-        )
+        image = np.random.default_rng(10 + seed).random(shape)
         true_class = int(np.argmax(classifier(image)))
-        result = _run(FixedSketchAttack(), classifier, image, true_class, 0)
+        result = run(image, true_class, 0)
         if best is None or result.queries > best[2].queries:
             best = (image, true_class, result)
-        if result.queries >= BUDGET:
+        if result.queries >= budget:
             break
     return best
 
 
-def _time_session(classifier, image, true_class, batch_size):
+def _time_session(run, image, true_class, batch_size):
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
-        _run(FixedSketchAttack(), classifier, image, true_class, batch_size)
+        run(image, true_class, batch_size)
         best = min(best, time.perf_counter() - started)
     return best
 
 
 def test_batched_stepping_session_latency(results_dir):
     classifier = _classifier()
-    image, true_class, scalar_result = _pick_case(classifier)
+
+    def run(image, true_class, batch_size):
+        return drive_steps(
+            FixedSketchAttack().steps(
+                image, true_class, budget=BUDGET, batch_size=batch_size
+            ),
+            classifier,
+        )
+
+    image, true_class, scalar_result = _pick_case(
+        classifier, run, (IMAGE_SIZE, IMAGE_SIZE, 3), BUDGET
+    )
 
     # correctness before speed: batched must be bit-identical
-    batched_result = _run(
-        FixedSketchAttack(), classifier, image, true_class, WINDOW
-    )
+    batched_result = run(image, true_class, WINDOW)
     assert result_fingerprint(batched_result) == result_fingerprint(
         scalar_result
     ), "batched stepping changed the attack result"
 
-    scalar_time = _time_session(classifier, image, true_class, 0)
-    batched_time = _time_session(classifier, image, true_class, WINDOW)
+    scalar_time = _time_session(run, image, true_class, 0)
+    batched_time = _time_session(run, image, true_class, WINDOW)
     speedup = scalar_time / batched_time
     queries = scalar_result.queries
 
@@ -122,4 +136,61 @@ def test_batched_stepping_session_latency(results_dir):
     assert speedup >= 2.0, (
         f"batched stepping gained only {speedup:.2f}x over the scalar "
         f"protocol (needed 2x)"
+    )
+
+
+def test_served_sparse_rs_session_latency(results_dir):
+    config = ServeConfig()
+    classifier = build_classifier(config)
+    with MicroBatchBroker(classifier) as broker:
+        manager = SessionManager(broker, max_workers=1)
+
+        def run(image, true_class, batch_size):
+            session = manager.create(
+                SparseRS(),
+                image,
+                true_class,
+                budget=SERVED_BUDGET,
+                batch_size=batch_size,
+            )
+            return manager.drive(session).result
+
+        try:
+            image, true_class, scalar_result = _pick_case(
+                classifier, run, (config.height, config.width, 3), SERVED_BUDGET
+            )
+            batched_result = run(image, true_class, WINDOW)
+            assert result_fingerprint(batched_result) == result_fingerprint(
+                scalar_result
+            ), "speculation changed the Sparse-RS result"
+            scalar_time = _time_session(run, image, true_class, 0)
+            batched_time = _time_session(run, image, true_class, WINDOW)
+        finally:
+            manager.shutdown()
+    speedup = scalar_time / batched_time
+    queries = scalar_result.queries
+
+    lines = [
+        f"served Sparse-RS session (toy {config.height}x{config.width} model, "
+        f"default broker policy, budget {SERVED_BUDGET}, window {WINDOW}, "
+        f"best of {REPEATS})",
+        f"  session queries:        {queries}",
+        f"  scalar protocol:        {scalar_time * 1000:7.1f} ms/session",
+        f"  batched protocol:       {batched_time * 1000:7.1f} ms/session",
+        f"  single-session speedup: {speedup:.2f}x",
+    ]
+    write_result(results_dir, "batch_stepping_sparse_rs", "\n".join(lines))
+    write_bench_result(
+        results_dir,
+        "batch_stepping_sparse_rs",
+        [
+            ("scalar_ms_per_session", scalar_time * 1000, "ms"),
+            ("batched_ms_per_session", batched_time * 1000, "ms"),
+            ("speedup", speedup, "x"),
+        ],
+    )
+
+    assert speedup >= 5.0, (
+        f"speculative Sparse-RS gained only {speedup:.2f}x over the scalar "
+        f"protocol (needed 5x)"
     )

@@ -25,7 +25,13 @@ import numpy as np
 from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.classifier.blackbox import QueryBudgetExceeded
 from repro.core.geometry import NUM_CORNERS, RGB_CORNERS
-from repro.core.stepping import AttackSteps, StepCounter
+from repro.core.stepping import (
+    AttackSteps,
+    Query,
+    QueryBatch,
+    StepCounter,
+    resolve_batch_window,
+)
 
 
 @dataclass(frozen=True)
@@ -79,24 +85,66 @@ class SparseRS(OnePixelAttack):
         target_class: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> AttackSteps:
-        """The random search as a scalar generator.
+        """The random search as a generator; speculates the next steps.
 
-        Each candidate depends on whether the previous one was
-        accepted, so there is nothing to speculate on: ``batch_size``
-        is accepted and ignored.
+        A step's randomness -- ``rng.uniform() < p_loc``, then a location
+        or a corner -- never depends on a score.  So with a batch window
+        the candidates of the next steps, built against the current
+        (location, corner), are posed as one :class:`QueryBatch` of up
+        to ``min(window, allowance)`` members; the opening candidate
+        rides in the first block.  Each step's draws are taken once, in
+        the scalar path's order, and reused by every rebuild.
+
+        Consumption walks the steps in order.  A step's candidate is
+        rebuilt from its draws and the current pair; when it equals that
+        pair the step is skipped uncharged (the scalar ``continue``) and
+        its posed member, if any, is discarded.  Otherwise the next
+        member is charged and noted only if it was posed for this step
+        with the same candidate; the first member that fails this ends
+        the block uncharged, and the next block is posed from that step.
+        An accepted location move keeps the corner, so later location
+        moves stay valid.  Results, counts and the consumed query stream
+        are the scalar path's; window ``0`` is the scalar path itself.
         """
         self._validate(image)
+        if batch_size is None:
+            batch_size = self.batch_size
+        window = resolve_batch_window(batch_size)
         config = self.config
         rng = np.random.default_rng(config.seed)
         counter = StepCounter(budget)
         d1, d2 = image.shape[:2]
+        half_life = max(config.schedule_half_life, 1)
 
-        def query(location: Tuple[int, int], corner: int):
-            perturbed = image.copy()
-            perturbed[location[0], location[1]] = RGB_CORNERS[corner]
-            scores = yield counter.submit(perturbed)
+        def draw(step: int):
+            """One step's randomness: a new location or a new corner."""
+            p_loc = max(
+                config.alpha_min, config.alpha_init * 0.5 ** (step / half_life)
+            )
+            if rng.uniform() < p_loc:
+                return (int(rng.integers(0, d1)), int(rng.integers(0, d2))), None
+            return None, int(rng.integers(0, NUM_CORNERS))
+
+        def candidate(drawn, location: Tuple[int, int], corner: int):
+            """A step's (location, corner) built against the current pair."""
+            moved_to, recolor = drawn
+            if moved_to is not None:
+                return moved_to, corner
+            if recolor == corner:
+                recolor = (recolor + 1) % NUM_CORNERS
+            return location, recolor
+
+        def perturbed(pair) -> np.ndarray:
+            location, corner = pair
+            out = image.copy()
+            out[location[0], location[1]] = RGB_CORNERS[corner]
+            return out
+
+        def judge(pair, scores):
+            """The candidate's loss, and the success result if it won."""
             loss = margin(scores, true_class, target_class)
             if loss < 0:
+                location, corner = pair
                 return loss, AttackResult(
                     success=True,
                     queries=counter.count,
@@ -106,40 +154,80 @@ class SparseRS(OnePixelAttack):
                 )
             return loss, None
 
+        def consume(batch: QueryBatch, answers, index: int, pair):
+            """Charge and note one batch member, then judge it."""
+            counter.charge()
+            batch.note(batch.queries[index], answers[index])
+            return judge(pair, answers[index])
+
         try:
             location = (int(rng.integers(0, d1)), int(rng.integers(0, d2)))
-            corner = int(rng.integers(0, NUM_CORNERS))
-            best_loss, result = yield from query(location, corner)
-            if result is not None:
-                return result
-            for step in range(config.max_steps):
-                p_loc = max(
-                    config.alpha_min,
-                    config.alpha_init
-                    * 0.5 ** (step / max(config.schedule_half_life, 1)),
-                )
-                if rng.uniform() < p_loc:
-                    candidate_location = (
-                        int(rng.integers(0, d1)),
-                        int(rng.integers(0, d2)),
-                    )
-                    candidate_corner = corner
-                else:
-                    candidate_location = location
-                    candidate_corner = int(rng.integers(0, NUM_CORNERS))
-                    if candidate_corner == corner:
-                        candidate_corner = (candidate_corner + 1) % NUM_CORNERS
-                if candidate_location == location and candidate_corner == corner:
-                    continue
-                loss, result = yield from query(
-                    candidate_location, candidate_corner
+            current = (location, int(rng.integers(0, NUM_CORNERS)))
+            if window <= 0:
+                best_loss, result = judge(
+                    current, (yield counter.submit(perturbed(current)))
                 )
                 if result is not None:
                     return result
-                if loss <= best_loss:
-                    best_loss = loss
-                    location = candidate_location
-                    corner = candidate_corner
+                for step in range(config.max_steps):
+                    pair = candidate(draw(step), *current)
+                    if pair == current:
+                        continue
+                    loss, result = judge(
+                        pair, (yield counter.submit(perturbed(pair)))
+                    )
+                    if result is not None:
+                        return result
+                    if loss <= best_loss:
+                        best_loss, current = loss, pair
+            else:
+                draws = []  # step -> its draw, taken in the scalar order
+                best_loss = None  # set when the opening candidate is consumed
+                step = 0  # the next step to consume
+                while True:
+                    if counter.allowance == 0:
+                        counter.charge()  # raises at the scalar stop point
+                    size = window
+                    if counter.budget is not None:
+                        size = min(size, counter.allowance)
+                    members = [] if best_loss is not None else [(None, current)]
+                    probe = step
+                    while len(members) < size and probe < config.max_steps:
+                        if probe == len(draws):
+                            draws.append(draw(probe))
+                        pair = candidate(draws[probe], *current)
+                        if pair != current:
+                            members.append((probe, pair))
+                        probe += 1
+                    if not members:
+                        break
+                    batch = QueryBatch(
+                        tuple(Query(perturbed(pair)) for _, pair in members)
+                    )
+                    answers = np.asarray((yield batch), dtype=np.float64)
+                    index = 0
+                    if best_loss is None:
+                        best_loss, result = consume(batch, answers, 0, current)
+                        if result is not None:
+                            return result
+                        index = 1
+                    while index < len(members):
+                        owner, posed = members[index]
+                        pair = candidate(draws[step], *current)
+                        if pair == current:  # the scalar path's `continue`
+                            if owner == step:
+                                index += 1  # discard the stale member
+                            step += 1
+                            continue
+                        if owner != step or posed != pair:
+                            break  # stale speculation: re-pose from this step
+                        loss, result = consume(batch, answers, index, pair)
+                        if result is not None:
+                            return result
+                        if loss <= best_loss:
+                            best_loss, current = loss, pair
+                        index += 1
+                        step += 1
         except QueryBudgetExceeded:
             pass
         return AttackResult(success=False, queries=counter.count)

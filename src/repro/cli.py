@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         metavar="N",
         help="batch-native stepping window: speculate up to N queries "
-        "per vectorized forward pass (bit-identical results and query "
-        "counts; 0 = scalar)",
+        "per vectorized forward pass (same query counts and query order; "
+        "scores bit-identical for per-image classifiers, last-ulp "
+        "differences on a network's batch forward; 0 = scalar)",
     )
     _add_runtime_arguments(attack)
     attack.set_defaults(func=cmd_attack)

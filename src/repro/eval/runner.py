@@ -308,8 +308,11 @@ def attack_dataset(
         Batch-native stepping window applied to the attack (``None``
         keeps the attack's own default, ``0`` pins the legacy scalar
         protocol, ``N > 0`` speculates up to N queries per forward
-        pass).  Bit-identical results and query counts either way; the
-        win is latency, especially with ``freeze=True``.
+        pass).  Query counts and the consumed query order are identical
+        on every path.  Scores are bit-identical only for classifiers
+        scored per image: a network's native batch forward differs from
+        its scalar forward in the last ulps (DESIGN §17).
+        The win is latency, especially with ``freeze=True``.
     """
     cache_size = normalized_cache_size(cache_size)
     if step_batch is not None:

@@ -40,6 +40,7 @@ import numpy as np
 from repro.attacks.base import AttackResult, OnePixelAttack
 from repro.classifier.blackbox import QueryBudgetExceeded
 from repro.core.stepping import Query, QueryBatch, StepRequest
+from repro.runtime.checkpoint import encode_attack_result
 from repro.runtime.events import RunLog, ensure_log
 from repro.serve.broker import MicroBatchBroker
 
@@ -312,19 +313,7 @@ class AttackSession:
         if self.error is not None:
             payload["error"] = self.error
         if self.result is not None:
-            result = self.result
-            payload["result"] = {
-                "success": result.success,
-                "queries": result.queries,
-                "location": list(result.location) if result.location else None,
-                "perturbation": (
-                    None
-                    if result.perturbation is None
-                    else np.asarray(result.perturbation, dtype=np.float64).tolist()
-                ),
-                "adversarial_class": result.adversarial_class,
-                "error": result.error,
-            }
+            payload["result"] = encode_attack_result(self.result)
         return payload
 
 

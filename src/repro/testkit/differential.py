@@ -500,7 +500,7 @@ _SKETCH_PROGRAM = """
 #: The attack rotations of the toy sweeps: seed ``s`` runs
 #: ``rotation[s % len(rotation)]``.
 PATH_ROTATION = ("sketch", "uniform", "corner-search", "sparse-rs")
-BATCH_ROTATION = ("sketch", "uniform", "su-opa")
+BATCH_ROTATION = ("sketch", "uniform", "su-opa", "sparse-rs")
 
 
 def rotating_attack(seed: int, rotation: Sequence[str] = PATH_ROTATION):
@@ -509,7 +509,9 @@ def rotating_attack(seed: int, rotation: Sequence[str] = PATH_ROTATION):
 
     The sketch attack runs a reordering program, so speculation gets
     invalidated mid-run; the rotations cover every attack generator,
-    score-driven and RNG-driven, speculating and scalar-only.
+    score-driven and RNG-driven.  Every generator but CornerSearch
+    speculates when given a window; Sparse-RS and SU-OPA rebuild stale
+    speculation from the same draws.
     """
     from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
     from repro.attacks.random_search import UniformRandomAttack, UniformRandomConfig
@@ -573,8 +575,9 @@ def toy_batch_runner(
     **kwargs,
 ) -> DifferentialRunner:
     """The :data:`BATCH` sweep CI and the nightly job run on toy cases,
-    rotating the three batch-native generators (sketch, uniform random,
-    SU-OPA); the ``frozen`` rows attack a frozen tiny network instead."""
+    rotating the four speculating generators (sketch, uniform random,
+    SU-OPA, Sparse-RS); the ``frozen`` rows attack a frozen tiny network
+    instead."""
     kwargs.setdefault("table", BATCH)
     return DifferentialRunner(
         toy_case(shape, num_classes, BATCH_ROTATION), seeds, budget=budget, **kwargs

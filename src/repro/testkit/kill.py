@@ -31,7 +31,7 @@ import numpy as np
 from repro.attacks.fixed_sketch import FixedSketchAttack
 from repro.classifier.toy import SmoothLinearClassifier
 from repro.eval.runner import AttackRunSummary, attack_dataset
-from repro.runtime.checkpoint import RECORDS_NAME
+from repro.runtime.checkpoint import RECORDS_NAME, encode_attack_result
 
 
 def _delayed(classifier, delay: float):
@@ -498,6 +498,28 @@ def kill_worker_and_rebalance(
     }
 
 
+def cancelled_result_exact(wire_result: Optional[Dict], image_seed: int) -> bool:
+    """Whether a cancelled hard session's wire ``result`` is exact.
+
+    ``k`` is the wire result's own query count.  A scalar budget-``k``
+    run of the same attack on the same HARD_IMAGE_SEEDS image must fail
+    and encode (:func:`~repro.runtime.checkpoint.encode_attack_result`,
+    the encoder behind the session's ``to_dict``) to exactly the wire
+    payload: count, success, pixel and perturbation alike.
+    """
+    from repro.testkit.differential import toy_lifecycle_runner
+
+    k = (wire_result or {}).get("queries")
+    if not isinstance(k, int) or k <= 0:
+        return False
+    golden = toy_lifecycle_runner().budget_k(image_seed, k).result
+    return (
+        golden is not None
+        and not golden.success
+        and encode_attack_result(golden) == wire_result
+    )
+
+
 def cancel_and_kill_cluster(
     workers: int = 2,
     latency: float = 0.02,
@@ -515,8 +537,9 @@ def cancel_and_kill_cluster(
     - session A is cancelled mid-attack with ``DELETE /attacks/<id>``
       once it has charged at least ``progress_queries`` queries; the
       router must forward the DELETE to the sticky owner and A must
-      settle as ``cancelled`` reporting exactly the count a budget-``k``
-      local run reports (query-count fidelity across the wire);
+      settle as ``cancelled`` carrying exactly the result a budget-``k``
+      local run reports (:func:`cancelled_result_exact`: fidelity of
+      the whole result across the wire);
     - session B's owning worker is then SIGKILLed; the router must
       rebalance B onto a survivor and finish it with the golden 288.
 
@@ -534,7 +557,6 @@ def cancel_and_kill_cluster(
     from repro.runtime.checkpoint import CheckpointStore, open_sessions_from_records
     from repro.runtime.http import http_json
     from repro.serve.server import ServeConfig
-    from repro.testkit.differential import toy_lifecycle_runner
 
     workdir = workdir or tempfile.mkdtemp(prefix="repro-lifecycle-")
     checkpoint = os.path.join(workdir, "ledger")
@@ -585,16 +607,7 @@ def cancel_and_kill_cluster(
         _, listing = resumed_tier.router.list_sessions()
         resumed_sessions = len(listing.get("sessions", []))
 
-    # local budget-k differential: a scalar run of the same attack on the
-    # same image under budget=k must report exactly the cancelled count
-    exact = False
-    if isinstance(cancelled_k, int) and cancelled_k > 0:
-        golden = toy_lifecycle_runner().budget_k(victim_seed, cancelled_k)
-        exact = (
-            golden.result is not None
-            and golden.result.queries == cancelled_k
-            and not golden.result.success
-        )
+    exact = cancelled_result_exact(cancelled.get("result"), victim_seed)
 
     return {
         "cancel_status": cancel_status,

@@ -96,23 +96,20 @@ class InMemorySharedCache:
                 self.stored += 1
 
 
-def tiered_broker_factory(
-    shared: InMemorySharedCache, cooldown: float = 0.0
-) -> Callable:
+def tiered_broker_factory(shared: InMemorySharedCache) -> Callable:
     """A served row's ``broker``, wiring in an L2.
 
     Wraps the cell's private :class:`QueryCache` (the L1) in a
     :class:`TieredQueryCache` over ``shared``.  Uncached cells stay
-    uncached -- no L1 means no tier to promote into.  ``cooldown=0``
-    retries a failing L2 on every batch, the most adversarial setting
-    for the degraded path (every evaluation re-probes and re-fails).
+    uncached -- no L1 means no tier to promote into.  The tier has no
+    cooldown, so a failing L2 is probed again on every batch: the most
+    adversarial setting for the degraded path (every evaluation
+    re-probes and re-fails).
     """
 
     def factory(classifier, cache):
         tiered = (
-            None
-            if cache is None
-            else TieredQueryCache(cache, shared, cooldown=cooldown)
+            None if cache is None else TieredQueryCache(cache, shared, cooldown=0.0)
         )
         return one_session_broker(classifier, tiered)
 

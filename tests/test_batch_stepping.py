@@ -17,6 +17,7 @@ import pytest
 from repro.attacks.fixed_sketch import FixedSketchAttack
 from repro.attacks.random_search import UniformRandomAttack, UniformRandomConfig
 from repro.attacks.sketch_attack import SketchAttack
+from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
 from repro.attacks.su_opa import SuOPA, SuOPAConfig
 from repro.classifier.blackbox import QueryBudgetExceeded
 from repro.core.dsl.parser import parse_program
@@ -28,6 +29,7 @@ from repro.core.stepping import (
     resolve_batch_window,
 )
 from repro.serve.broker import BrokerStopped, MicroBatchBroker
+from repro.serve.server import ServeConfig, build_classifier
 from repro.serve.sessions import SessionManager
 from repro.testkit.differential import result_fingerprint
 from repro.testkit.trace import TraceRecorder
@@ -48,7 +50,17 @@ def _attacks():
         FixedSketchAttack(),
         UniformRandomAttack(UniformRandomConfig(seed=3)),
         SuOPA(SuOPAConfig(population_size=6, max_generations=3, seed=3)),
+        SparseRS(SparseRSConfig(seed=3)),
     ]
+
+
+def _served_toy_case():
+    """Serve's default toy model and an image whose Sparse-RS session
+    spends its whole 128-query budget, accepting moves along the way."""
+    config = ServeConfig()
+    classifier = build_classifier(config)
+    image = np.random.default_rng(3).random((config.height, config.width, 3))
+    return classifier, image, int(np.argmax(classifier(image)))
 
 
 @pytest.fixture
@@ -146,6 +158,30 @@ class TestBatchedEquivalence:
             e.to_dict() for e in scalar_trace
         ]
 
+    @pytest.mark.parametrize("window", [1, 3, 8, 32])
+    def test_sparse_rs_rebuilds_stale_speculation(self, window):
+        """Accepted moves make posed Sparse-RS candidates stale; their
+        rebuilds must leave the consumed trace the scalar one."""
+        classifier, image, true_class = _served_toy_case()
+        posed = []
+
+        def counting(query_image):
+            posed.append(1)
+            return classifier(query_image)
+
+        scalar, scalar_trace = _run(
+            SparseRS(), classifier, image, true_class, 128, 0
+        )
+        batched, batched_trace = _run(
+            SparseRS(), counting, image, true_class, 128, window
+        )
+        assert result_fingerprint(batched) == result_fingerprint(scalar)
+        assert [e.to_dict() for e in batched_trace] == [
+            e.to_dict() for e in scalar_trace
+        ]
+        if window > 1:
+            assert len(posed) > len(batched_trace)  # speculation went stale
+
     def test_attack_entrypoint_honours_batch_size_attr(
         self, linear_classifier, image
     ):
@@ -239,6 +275,33 @@ class TestSessionAccounting:
         assert session.result is not None
         assert result_fingerprint(session.result) == result_fingerprint(scalar)
         assert session.queries == session.result.queries
+
+    def test_served_sparse_rs_session_skips_the_flush_queue(self):
+        """A served Sparse-RS session speculates its next steps, so its
+        queries reach the broker as whole batches (``submit_many``)
+        instead of waiting in the queue for a flush one at a time."""
+        classifier, image, true_class = _served_toy_case()
+        scalar = SparseRS().attack(classifier, image, true_class, budget=128)
+        assert scalar.queries == 128  # the session spends its whole budget
+
+        broker = MicroBatchBroker(classifier).start()
+        manager = SessionManager(broker, max_workers=1)
+        try:
+            session = manager.create(
+                SparseRS(),
+                image,
+                true_class,
+                budget=128,
+                batch_size=ServeConfig().max_batch_size,
+            )
+            manager.drive(session)
+        finally:
+            manager.shutdown()
+            broker.stop()
+        stats = broker.stats()
+        assert result_fingerprint(session.result) == result_fingerprint(scalar)
+        assert stats["queue_high_water"] == 0
+        assert stats["flushes"] <= 32
 
 
 class TestSubmitMany:

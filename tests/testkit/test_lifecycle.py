@@ -1,5 +1,7 @@
 """The differential oracle's lifecycle table, and proof that it has teeth."""
 
+import json
+
 import pytest
 
 from repro.attacks.corner_search import CornerSearch, CornerSearchConfig
@@ -14,6 +16,7 @@ from repro.testkit.differential import (
     results_equal,
     toy_lifecycle_runner,
 )
+from repro.testkit.kill import HARD_IMAGE_SEEDS, cancelled_result_exact
 
 
 class TestSweep:
@@ -32,7 +35,7 @@ class TestSweep:
         ],
         ids=["sparse-rs", "corner-search"],
     )
-    def test_scalar_only_attacks_park_to_budget_k(self, attack_factory):
+    def test_sparse_rs_and_corner_search_park_to_budget_k(self, attack_factory):
         """A cancelled or expired Sparse-RS / CornerSearch session carries
         the budget-k result, not an empty one."""
         report = toy_lifecycle_runner(attack_factory=attack_factory).run()
@@ -76,6 +79,35 @@ class TestSweep:
         report = runner.run()
         assert not report.ok
         assert "diverged" in report.describe()
+
+
+class TestCancelledResultExact:
+    """The cluster harness compares a cancelled session's whole wire
+    result, not just its count, with the budget-k run."""
+
+    def _wire(self):
+        seed = HARD_IMAGE_SEEDS[0]
+        runner = toy_lifecycle_runner(seeds=(seed,))
+        session = runner.run_cell(Cell(seed, "served/scalar/cancel")).session
+        assert session.state == "cancelled"
+        return seed, json.loads(json.dumps(session.to_dict()["result"]))
+
+    def test_honest_payload_passes(self):
+        seed, wire = self._wire()
+        assert cancelled_result_exact(wire, seed)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("success", True), ("location", [0, 0])],
+        ids=["success", "location"],
+    )
+    def test_right_count_wrong_content_is_refused(self, field, value):
+        seed, wire = self._wire()
+        assert wire[field] != value
+        assert not cancelled_result_exact({**wire, field: value}, seed)
+
+    def test_missing_result_is_refused(self):
+        assert not cancelled_result_exact(None, HARD_IMAGE_SEEDS[0])
 
 
 @pytest.mark.slow
