@@ -43,7 +43,10 @@ IMAGE_SIZE = 16
 NUM_CLASSES = 10
 BUDGET = 192
 WINDOW = 32  # the serving default (BatchPolicy.max_batch_size)
-REPEATS = 3
+#: Timed sessions per protocol.  Scalar and batched repetitions
+#: alternate, so a swing in host speed lands on both protocols instead
+#: of deciding the ratio.
+REPEATS = 5
 PROBE_SEEDS = 8
 SERVED_BUDGET = 128  # serve_toy's budget
 
@@ -75,13 +78,16 @@ def _pick_case(classifier, run, shape, budget):
     return best
 
 
-def _time_session(run, image, true_class, batch_size):
-    best = float("inf")
+def _time_sessions(run, image, true_class):
+    """Best-of-``REPEATS`` seconds of a scalar and of a batched session,
+    timed alternately."""
+    best = {0: float("inf"), WINDOW: float("inf")}
     for _ in range(REPEATS):
-        started = time.perf_counter()
-        run(image, true_class, batch_size)
-        best = min(best, time.perf_counter() - started)
-    return best
+        for batch_size in best:
+            started = time.perf_counter()
+            run(image, true_class, batch_size)
+            best[batch_size] = min(best[batch_size], time.perf_counter() - started)
+    return best[0], best[WINDOW]
 
 
 def test_batched_stepping_session_latency(results_dir):
@@ -105,15 +111,14 @@ def test_batched_stepping_session_latency(results_dir):
         scalar_result
     ), "batched stepping changed the attack result"
 
-    scalar_time = _time_session(run, image, true_class, 0)
-    batched_time = _time_session(run, image, true_class, WINDOW)
+    scalar_time, batched_time = _time_sessions(run, image, true_class)
     speedup = scalar_time / batched_time
     queries = scalar_result.queries
 
     lines = [
         f"batch-native stepping ({ARCH} frozen float32, "
         f"{IMAGE_SIZE}x{IMAGE_SIZE}, budget {BUDGET}, window {WINDOW}, "
-        f"best of {REPEATS})",
+        f"best of {REPEATS} alternating)",
         f"  session queries:        {queries}",
         f"  scalar protocol:        {scalar_time * 1000:7.1f} ms/session "
         f"({queries / scalar_time:.0f} q/s)",
@@ -163,8 +168,7 @@ def test_served_sparse_rs_session_latency(results_dir):
             assert result_fingerprint(batched_result) == result_fingerprint(
                 scalar_result
             ), "speculation changed the Sparse-RS result"
-            scalar_time = _time_session(run, image, true_class, 0)
-            batched_time = _time_session(run, image, true_class, WINDOW)
+            scalar_time, batched_time = _time_sessions(run, image, true_class)
         finally:
             manager.shutdown()
     speedup = scalar_time / batched_time
@@ -173,7 +177,7 @@ def test_served_sparse_rs_session_latency(results_dir):
     lines = [
         f"served Sparse-RS session (toy {config.height}x{config.width} model, "
         f"default broker policy, budget {SERVED_BUDGET}, window {WINDOW}, "
-        f"best of {REPEATS})",
+        f"best of {REPEATS} alternating)",
         f"  session queries:        {queries}",
         f"  scalar protocol:        {scalar_time * 1000:7.1f} ms/session",
         f"  batched protocol:       {batched_time * 1000:7.1f} ms/session",

@@ -3,11 +3,12 @@
 The serving stack scores broker-sized batches (32 images per flush by
 default), so the number that matters is batched forward-pass throughput.
 This benchmark pins the tentpole claim: freezing a model -- folding each
-batch norm into its preceding convolution, reusing im2col workspaces,
-and skipping every layer's backward-cache construction -- at the float32
-serving configuration clears **2x** the throughput of the seed float64
-eval path on those batches, while staying decision-identical (same
-argmax everywhere, scores allclose at float32 tolerance).
+batch norm into its preceding convolution (float32 only), gathering
+im2col matrices into one scratch arena, and skipping every layer's
+backward-cache construction -- at the float32 serving configuration
+clears **2x** the throughput of the seed float64 eval path on those
+batches, while staying decision-identical (same argmax everywhere,
+scores allclose at float32 tolerance).
 
 Query counts are untouched by construction: folding changes how fast a
 forward pass runs, never how many of them an attack submits.
@@ -41,7 +42,7 @@ def _classifier(dtype=None, freeze=False):
 
 def _time_batches(classifier, images):
     """Best-of-``REPEATS`` seconds to score one broker-sized batch."""
-    classifier.batch(images)  # warm workspaces out of the timed region
+    classifier.batch(images)  # grow the arena out of the timed region
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()

@@ -116,12 +116,13 @@ class NetworkClassifier:
     float64 in the last bits; returned scores are always float64).
 
     Pass ``freeze=True`` (or call :meth:`freeze` later) to enable the
-    model's inference fast path: backward caches are skipped, eval-mode
-    batch norms are folded into the preceding convolutions, and im2col
-    buffers are reused across same-shape batches.  Scores stay within
-    float tolerance of the unfrozen eval path and argmax decisions are
-    identical, but they are no longer bit-identical; keep the default
-    for runs pinned by bit-exact differential tests.
+    model's inference fast path: backward caches are skipped and
+    convolutions gather their column matrices into one scratch arena
+    (see :meth:`repro.nn.Module.freeze`).  At float64 the scores are the
+    unfrozen eval path's bit for bit; below float64 the batch norms are
+    also folded into the preceding convolutions, and the scores stay
+    decision-identical and float-tolerance-close.  A frozen model
+    serves one forward at a time.
     """
 
     def __init__(self, model: Module, dtype=None, freeze: bool = False):

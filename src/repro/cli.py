@@ -399,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument(
         "--freeze",
         action="store_true",
-        help="run the classifier on the inference fast path (folded batch "
-        "norms, reused buffers); query counts are unchanged but scores "
-        "are no longer bit-identical to the default eval path",
+        help="run the classifier on the inference fast path; a zoo "
+        "classifier already runs there, with the eval path's float64 "
+        "scores bit for bit, so query counts and scores are unchanged",
     )
     attack.add_argument(
         "--checkpoint",

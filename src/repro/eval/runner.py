@@ -284,11 +284,11 @@ def attack_dataset(
         worker.
     freeze:
         Switch the classifier onto the inference fast path before
-        attacking (no-op for classifiers without a ``freeze`` method).
-        Query counts are unaffected -- freezing changes per-query
-        latency, never how many submissions an attack makes -- but
-        scores are only float-tolerance-close to the unfrozen path, so
-        leave this off for bit-exact reproductions.
+        attacking (no-op for classifiers without a ``freeze`` method,
+        and for a zoo classifier, which is frozen already).  Freezing
+        changes per-query latency, never how many submissions an attack
+        makes; a float64 model's scores stay the unfrozen path's bit for
+        bit.
     checkpoint:
         A :class:`~repro.runtime.checkpoint.CheckpointStore` (or a
         directory path) recording each completed per-image result as a

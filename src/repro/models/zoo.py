@@ -92,7 +92,17 @@ class ZooConfig:
 
 @dataclass
 class TrainedModel:
-    """A trained classifier plus its provenance."""
+    """A trained classifier plus its provenance.
+
+    :attr:`classifier` wraps :attr:`model` frozen (see
+    :meth:`repro.nn.Module.freeze`): float64 scores bit-identical to the
+    eval path, at the inference fast path's speed.  Everything that
+    scores through it -- synthesis, ``attack_dataset``, the experiments,
+    campaigns, ``repro attack`` -- runs one forward at a time, which a
+    frozen model requires.  Only serve and cluster threads call
+    classifiers concurrently, and they build their own models and call
+    them behind the broker's model lock.
+    """
 
     arch: str
     model: Module
@@ -102,16 +112,14 @@ class TrainedModel:
     config: ZooConfig
 
     def frozen_classifier(self, dtype=None) -> NetworkClassifier:
-        """A fast-path classifier over a private copy of the weights.
+        """A frozen classifier over a private copy of the weights.
 
-        The copy matters: freezing (or casting) the shared :attr:`model`
-        in place would silently move :attr:`classifier` -- and every
-        experiment holding it -- off the bit-exact eval path.  The
-        returned classifier folds batch norms, reuses inference buffers,
-        and optionally computes in ``dtype`` (``numpy.float32`` for the
-        fastest CPU serving configuration); its scores are
-        decision-identical and float-tolerance-close to
-        :attr:`classifier`'s.
+        The copy matters for ``dtype``: casting the shared :attr:`model`
+        in place (``numpy.float32`` is the fastest CPU serving
+        configuration) would move :attr:`classifier` -- and every
+        experiment holding it -- off float64.  A float32 copy folds its
+        batch norms, so its scores are decision-identical to
+        :attr:`classifier`'s; a float64 copy's are bit-identical.
         """
         return NetworkClassifier(
             copy.deepcopy(self.model), dtype=dtype, freeze=True
@@ -167,32 +175,27 @@ class ModelZoo:
             load_state(model, weights_path)
             with open(meta_path) as handle:
                 meta = json.load(handle)
-            trained = TrainedModel(
-                arch=arch,
-                model=model,
-                classifier=NetworkClassifier(model),
-                train_accuracy=meta["train_accuracy"],
-                test_accuracy=meta["test_accuracy"],
-                config=self.config,
-            )
         else:
-            trained = self._train(arch, model)
+            meta = {
+                **self._train(model),
+                "arch": arch,
+                "cache_key": key,
+            }
             save_state(model, weights_path)
             with open(meta_path, "w") as handle:
-                json.dump(
-                    {
-                        "train_accuracy": trained.train_accuracy,
-                        "test_accuracy": trained.test_accuracy,
-                        "arch": arch,
-                        "cache_key": key,
-                    },
-                    handle,
-                    indent=2,
-                )
+                json.dump(meta, handle, indent=2)
+        trained = TrainedModel(
+            arch=arch,
+            model=model,
+            classifier=NetworkClassifier(model, freeze=True),
+            train_accuracy=meta["train_accuracy"],
+            test_accuracy=meta["test_accuracy"],
+            config=self.config,
+        )
         self._models[arch] = trained
         return trained
 
-    def _train(self, arch: str, model: Module) -> TrainedModel:
+    def _train(self, model: Module) -> Dict[str, float]:
         config = self.config
         train_set = self.dataset("train")
         test_set = self.dataset("test")
@@ -207,16 +210,10 @@ class ModelZoo:
             ),
         )
         trainer.fit(train_set.to_nchw(), train_set.labels)
-        train_acc = trainer.evaluate(train_set.to_nchw(), train_set.labels)
-        test_acc = trainer.evaluate(test_set.to_nchw(), test_set.labels)
-        return TrainedModel(
-            arch=arch,
-            model=model,
-            classifier=NetworkClassifier(model),
-            train_accuracy=train_acc,
-            test_accuracy=test_acc,
-            config=config,
-        )
+        return {
+            "train_accuracy": trainer.evaluate(train_set.to_nchw(), train_set.labels),
+            "test_accuracy": trainer.evaluate(test_set.to_nchw(), test_set.labels),
+        }
 
     def correctly_classified(
         self, arch: str, split: str = "test", limit: Optional[int] = None,

@@ -1,13 +1,16 @@
-"""Stateless tensor operations shared by layers and losses.
+"""Tensor operations shared by layers and losses.
 
 Convolutions are implemented with im2col / col2im so that the heavy lifting
 is a single matrix multiply, which is the only way to get acceptable CPU
-throughput out of numpy.
+throughput out of numpy.  Frozen models build the same column matrix by
+one gather (:func:`im2col_gather`) into an :class:`InferenceArena`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import functools
+import math
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -35,66 +38,22 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-class Im2colWorkspace:
-    """Reusable buffers for repeated same-shape :func:`im2col` calls.
-
-    Inference serves many batches of identical shape (the broker pads
-    its batches up to a fixed policy size, attacks resubmit same-sized
-    images), so the padded canvas and the unfolded column matrix can be
-    allocated once and overwritten on every call instead of reallocated.
-    The padded canvas additionally keeps its zero border across calls --
-    only the interior is rewritten -- which removes the per-call
-    zero-fill entirely.
-
-    The returned column matrix aliases the workspace, so callers must
-    consume it before the next call on the same workspace.  Layers hold
-    one workspace each and the model lock serializes forward passes, so
-    this is safe wherever the inference fast path runs.
-    """
-
-    __slots__ = ("_key", "_padded", "_cols")
-
-    def __init__(self):
-        self._key = None
-        self._padded: np.ndarray = None
-        self._cols: np.ndarray = None
-
-    def clear(self) -> None:
-        self._key = None
-        self._padded = None
-        self._cols = None
-
-
 def im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    padding: int,
-    workspace: Im2colWorkspace = None,
+    x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold ``x`` of shape (N, C, H, W) into columns.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kernel * kernel)``.  With a ``workspace``,
-    repeated calls on same-shape inputs reuse its buffers (``cols`` then
-    aliases the workspace and is only valid until the next call).
+    ``(N * out_h * out_w, C * kernel * kernel)``, each row one window in
+    ``(c, ki, kj)`` order.  This strided unfold is the training and eval
+    path; :func:`im2col_gather` builds the same matrix for frozen models.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
-    key = (x.shape, x.dtype, kernel, stride, padding)
-    reuse = workspace is not None and workspace._key == key
     if padding > 0:
-        if reuse:
-            # border stayed zero from the previous call; refill interior
-            padded = workspace._padded
-        else:
-            # manual zero-fill: np.pad is several times slower for this case
-            padded = np.zeros(
-                (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
-            )
-            if workspace is not None:
-                workspace._padded = padded
+        # manual zero-fill: np.pad is several times slower for this case
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
         padded[:, :, padding : padding + h, padding : padding + w] = x
         x = padded
     strides = x.strides
@@ -111,18 +70,98 @@ def im2col(
         ),
         writeable=False,
     )
-    shuffled = windows.transpose(0, 2, 3, 1, 4, 5)
-    if workspace is not None:
-        if not reuse:
-            workspace._cols = np.empty(
-                (n * out_h * out_w, c * kernel * kernel), dtype=x.dtype
-            )
-            workspace._key = key
-        cols = workspace._cols
-        np.copyto(cols.reshape(n, out_h, out_w, c, kernel, kernel), shuffled)
-        return cols, out_h, out_w
-    cols = shuffled.reshape(n * out_h * out_w, c * kernel * kernel)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n * out_h * out_w, c * kernel * kernel
+    )
     return np.ascontiguousarray(cols), out_h, out_w
+
+
+class InferenceArena:
+    """Grow-only scratch memory shared by the layers of one frozen model.
+
+    :meth:`repro.nn.Module.freeze` creates one arena per model and hands
+    it to every layer that needs scratch space.  A layer's scratch (a
+    padded canvas, a column matrix) is consumed before the layer returns,
+    and no layer output ever lives in the arena, so one buffer per slot
+    serves every layer in turn: memory is the largest layer's need, not
+    the sum over layers.  Buffers only grow, so a forward after the
+    first allocates no scratch.
+
+    The arena makes a frozen model one-forward-at-a-time.  It is never
+    pickled or deep-copied: a copy comes back empty.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised ``shape`` array of ``dtype`` in ``slot``,
+        valid until the next :meth:`take` of the same slot."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(slot)
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self._buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+    def __reduce__(self):
+        return (InferenceArena, ())
+
+    def __deepcopy__(self, memo) -> "InferenceArena":
+        return InferenceArena()
+
+
+@functools.lru_cache(maxsize=256)
+def gather_index(
+    channels: int, height: int, width: int, kernel: int, stride: int, padding: int
+) -> np.ndarray:
+    """Per-image offsets of :func:`im2col_gather`'s column matrix.
+
+    Entry ``[oy * out_w + ox, (c * kernel + ki) * kernel + kj]`` is the
+    flat offset of tap ``(c, ki, kj)`` of window ``(oy, ox)`` in one
+    image of a zero-bordered channels-last canvas.  A pure function of
+    the geometry, so it is built once per geometry and shared read-only.
+    """
+    out_h = conv_output_size(height, kernel, stride, padding)
+    out_w = conv_output_size(width, kernel, stride, padding)
+    row = np.arange(out_h)[:, None, None, None, None] * stride
+    col = np.arange(out_w)[None, :, None, None, None] * stride
+    channel = np.arange(channels)[None, None, :, None, None]
+    ki = np.arange(kernel)[None, None, None, :, None]
+    kj = np.arange(kernel)[None, None, None, None, :]
+    offsets = ((row + ki) * (width + 2 * padding) + col + kj) * channels + channel
+    index = offsets.reshape(out_h * out_w, channels * kernel * kernel).astype(np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def im2col_gather(
+    x: np.ndarray, kernel: int, stride: int, padding: int, arena: InferenceArena
+) -> Tuple[np.ndarray, int, int]:
+    """:func:`im2col`'s column matrix, built by one gather into ``arena``.
+
+    ``x`` is copied once into a zero-bordered channels-last canvas, and
+    one ``np.take`` over :func:`gather_index` fills the matrix, the same
+    values in the same order as :func:`im2col`.  ``cols`` lives in the
+    arena: consume it before the arena's next use.
+    """
+    n, c, h, w = x.shape
+    index = gather_index(c, h, w, kernel, stride, padding)
+    rows, width = index.shape
+    canvas = arena.take("canvas", (n, h + 2 * padding, w + 2 * padding, c), x.dtype)
+    if padding > 0:
+        canvas.fill(0)  # the slot held another layer's canvas
+    canvas[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    cols = arena.take("columns", (n * rows, width), x.dtype)
+    # "clip" never moves an in-range index; "raise" would buffer `out`
+    np.take(
+        canvas.reshape(n, -1), index, axis=1,
+        out=cols.reshape(n, rows, width), mode="clip",
+    )
+    out_h = conv_output_size(h, kernel, stride, padding)
+    return cols, out_h, conv_output_size(w, kernel, stride, padding)
 
 
 def col2im(

@@ -10,6 +10,8 @@ from repro.nn.module import Module
 class ReLU(Module):
     """Rectified linear unit."""
 
+    _backward_cache = ("_mask",)
+
     def __init__(self):
         super().__init__()
         self._mask = None
@@ -26,6 +28,8 @@ class ReLU(Module):
 
 class LeakyReLU(Module):
     """Leaky rectified linear unit with negative slope ``alpha``."""
+
+    _backward_cache = ("_mask",)
 
     def __init__(self, alpha: float = 0.01):
         super().__init__()

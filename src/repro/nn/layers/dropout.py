@@ -16,6 +16,8 @@ class Dropout(Module):
     stays deterministic.
     """
 
+    _backward_cache = ("_mask",)
+
     def __init__(self, p: float = 0.5, seed: int = 0):
         super().__init__()
         if not 0.0 <= p < 1.0:

@@ -96,13 +96,14 @@ class BatchNorm2d(Module):
         self._folded = True
         return True
 
-    def _freeze_hook(self) -> None:
-        # precompute the fused eval transform once; if a container folds
-        # this layer into its predecessor these go unused (forward then
-        # degenerates to the identity)
+    def _freeze_hook(self, arena) -> None:
+        # precompute eval's fused transform once (the same float64 values
+        # eval derives per call); if a container folds this layer into
+        # its predecessor these go unused (forward then degenerates to
+        # the identity)
         scale, shift, _ = self._eval_scale_shift()
-        self._scale = scale
-        self._shift = shift
+        self._scale = scale[None, :, None, None]
+        self._shift = shift[None, :, None, None]
 
     def _unfreeze_hook(self) -> None:
         self._folded = False
@@ -119,8 +120,8 @@ class BatchNorm2d(Module):
         if self.inference:
             if self._folded:
                 return x  # absorbed by the preceding conv/linear weights
-            out = x * self._scale[None, :, None, None]
-            out += self._shift[None, :, None, None]
+            out = x * self._scale
+            out += self._shift
             return out if out.dtype == x.dtype else out.astype(x.dtype)
         if self.training:
             axes = (0, 2, 3)

@@ -9,14 +9,10 @@ from repro.nn.module import Module
 
 
 class _PoolBase(Module):
-    """Shared inference-path machinery for the square-window poolers.
+    """Shared machinery for the square-window poolers.
 
-    Training mode unfolds windows with im2col so backward can scatter
-    through the cached column layout.  Inference mode never needs that
-    layout, so it instead accumulates over the ``kernel**2`` shifted
-    strided slices of the (optionally padded) input -- no giant column
-    matrix, no ``(N*C, 1, H, W)`` reshape copy -- which is several times
-    faster on the stride-1 pools inside inception blocks.
+    Training and eval unfold windows with im2col so backward can scatter
+    through the cached column layout.
     """
 
     def __init__(self, kernel_size: int, stride: int = None, padding: int = 0):
@@ -27,12 +23,6 @@ class _PoolBase(Module):
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
         self._cache = None
-        self._padded = None  # reusable padded canvas for the frozen path
-        self._out = None  # reusable output buffer for the frozen path
-
-    def _unfreeze_hook(self) -> None:
-        self._padded = None
-        self._out = None
 
     def _unfold(self, x: np.ndarray):
         n, c, h, w = x.shape
@@ -40,56 +30,66 @@ class _PoolBase(Module):
         reshaped = x.reshape(n * c, 1, h, w)
         return im2col(reshaped, self.kernel_size, self.stride, self.padding)
 
-    def _windows(self, x: np.ndarray):
-        """Yield the kernel**2 shifted slices covering every window."""
-        n, c, h, w = x.shape
-        out_h = conv_output_size(h, self.kernel_size, self.stride, self.padding)
-        out_w = conv_output_size(w, self.kernel_size, self.stride, self.padding)
-        if self.padding > 0:
-            shape = (n, c, h + 2 * self.padding, w + 2 * self.padding)
-            if self._padded is None or self._padded.shape != shape or (
-                self._padded.dtype != x.dtype
-            ):
-                self._padded = np.zeros(shape, dtype=x.dtype)
-            self._padded[
-                :, :, self.padding : self.padding + h,
-                self.padding : self.padding + w,
-            ] = x
-            x = self._padded
-        if self._out is None or self._out.shape != (n, c, out_h, out_w) or (
-            self._out.dtype != x.dtype
-        ):
-            self._out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-        slices = (
-            x[
-                :, :, ki : ki + self.stride * out_h : self.stride,
-                kj : kj + self.stride * out_w : self.stride,
-            ]
-            for ki in range(self.kernel_size)
-            for kj in range(self.kernel_size)
-        )
-        return slices, self._out
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class MaxPool2d(_PoolBase):
-    """Max pooling with a square window."""
+    """Max pooling with a square window.
+
+    Frozen, it never builds the column matrix: it takes the maximum over
+    the ``kernel**2`` shifted strided slices of the (padded) input,
+    which is several times faster on the stride-1 pools inside
+    inception blocks.  A maximum is exact in any order, so the result is
+    eval's bit for bit.
+    """
+
+    def __init__(self, kernel_size: int, stride: int = None, padding: int = 0):
+        super().__init__(kernel_size, stride, padding)
+        self._arena = None  # the frozen model's scratch, else None
+
+    def _freeze_hook(self, arena) -> None:
+        self._arena = arena
+
+    def _unfreeze_hook(self) -> None:
+        self._arena = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.inference:
-            slices, out = self._windows(x)
-            np.copyto(out, next(slices))
-            for window in slices:
-                np.maximum(out, window, out=out)
-            return out
+            return self._forward_inference(x)
         n, c, h, w = x.shape
         cols, out_h, out_w = self._unfold(x)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
         self._cache = (x.shape, cols.shape, argmax, out_h, out_w)
         return out.reshape(n * c, out_h, out_w).reshape(n, c, out_h, out_w)
+
+    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
+        n, c, h, w = x.shape
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        out_h = conv_output_size(h, k, stride, pad)
+        out_w = conv_output_size(w, k, stride, pad)
+        if pad > 0:
+            shape = (n, c, h + 2 * pad, w + 2 * pad)
+            padded = self._arena.take("canvas", shape, x.dtype)
+            padded.fill(0)  # eval's im2col pads with zeros too
+            padded[:, :, pad : pad + h, pad : pad + w] = x
+            x = padded
+        windows = (
+            x[
+                :, :, ki : ki + stride * out_h : stride,
+                kj : kj + stride * out_w : stride,
+            ]
+            for ki in range(k)
+            for kj in range(k)
+        )
+        # a fresh output in eval's (contiguous NCHW) memory order, so the
+        # layers after this one reduce in eval's order too
+        out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+        np.copyto(out, next(windows))
+        for window in windows:
+            np.maximum(out, window, out=out)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x_shape, cols_shape, argmax, out_h, out_w = self._cache
@@ -104,20 +104,20 @@ class MaxPool2d(_PoolBase):
 
 
 class AvgPool2d(_PoolBase):
-    """Average pooling with a square window."""
+    """Average pooling with a square window.
+
+    Frozen, it computes the average exactly as eval does (a mean over the
+    unfolded windows) and only skips the backward cache: a sum over the
+    shifted slices would add a 3x3 window in another order than numpy's
+    pairwise row sum and differ from eval in the last bit.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.inference:
-            slices, out = self._windows(x)
-            np.copyto(out, next(slices))
-            for window in slices:
-                out += window
-            out *= 1.0 / (self.kernel_size * self.kernel_size)
-            return out
         n, c, h, w = x.shape
         cols, out_h, out_w = self._unfold(x)
         out = cols.mean(axis=1)
-        self._cache = (x.shape, cols.shape)
+        if not self.inference:
+            self._cache = (x.shape, cols.shape)
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.nn.functional import InferenceArena
+
 
 class Parameter:
     """A trainable tensor: a value array plus an accumulated gradient."""
@@ -44,6 +46,11 @@ class Parameter:
 
 class Module:
     """Base class for all layers and models."""
+
+    #: Attributes holding what ``backward`` reads from the last forward.
+    #: Freezing drops them: a frozen model has no backward, and a stale
+    #: cache would pin (and pickle) the last eval batch's intermediates.
+    _backward_cache: Tuple[str, ...] = ("_cache",)
 
     def __init__(self):
         self._parameters: Dict[str, Parameter] = {}
@@ -117,26 +124,37 @@ class Module:
 
         Freezing implies :meth:`eval` and additionally:
 
-        - every layer's forward skips backward-cache construction (the
-          arrays ``backward`` would need are simply never stored);
-        - eval-mode batch-norm scale/shift is folded ahead of time into
-          the weights of a directly preceding convolution or linear
-          layer, removing those normalization passes entirely (see
-          :meth:`~repro.nn.layers.norm.BatchNorm2d.fold_into`);
-        - convolution and pooling layers keep a reusable im2col
-          workspace so repeated same-shape batches stop reallocating.
+        - every layer drops its backward cache, and its forward skips
+          building one (the arrays ``backward`` would need are simply
+          never stored);
+        - convolutions build their column matrix by one gather, and
+          they and the padded pools take their scratch from one
+          grow-only :class:`~repro.nn.functional.InferenceArena` that
+          this call creates for the whole model;
+        - batch norm precomputes eval's scale and shift, and, for
+          weights that are not float64, folds them ahead of time into a
+          directly preceding convolution or linear layer (see
+          :meth:`~repro.nn.layers.norm.BatchNorm2d.fold_into`).
 
-        Trainable parameters are never mutated: folded weights live in
-        side buffers, so :meth:`unfreeze` (or :meth:`train`, which
-        unfreezes implicitly) restores exact training behaviour.
-        Idempotent; re-freezing recomputes the folds from the current
-        parameters.  ``backward`` is unavailable while frozen.
+        A frozen float64 model computes eval's scores bit for bit; a
+        folded one (float32) is decision-identical to eval.  Trainable
+        parameters are never mutated: folded weights live in side
+        buffers, so :meth:`unfreeze` (or :meth:`train`, which unfreezes
+        implicitly) restores exact training behaviour.  Idempotent;
+        re-freezing recomputes the folds from the current parameters.
+        ``backward`` is unavailable while frozen, and the shared arena
+        makes a frozen model one-forward-at-a-time.
         """
+        self.unfreeze()  # drop an earlier freeze's folds and arena
         self.eval()
+        arena = InferenceArena()
         for module in self.modules():
             module.inference = True
+            for name in module._backward_cache:
+                if getattr(module, name, None) is not None:
+                    setattr(module, name, None)
         for module in self.modules():
-            module._freeze_hook()
+            module._freeze_hook(arena)
         return self
 
     def unfreeze(self) -> "Module":
@@ -151,8 +169,8 @@ class Module:
     def frozen(self) -> bool:
         return self.inference
 
-    def _freeze_hook(self) -> None:
-        """Per-layer freeze-time preparation (fold, workspaces)."""
+    def _freeze_hook(self, arena: InferenceArena) -> None:
+        """Per-layer freeze-time preparation (folds, the model's arena)."""
 
     def _unfreeze_hook(self) -> None:
         """Discard per-layer frozen state."""

@@ -87,7 +87,9 @@ class AttackTaskRunner:
     ``freeze=True`` switches the classifier onto the inference fast path
     (see :meth:`repro.nn.Module.freeze`) on first use in each worker --
     after unpickling, so the flag is spawn-safe.  Classifiers without a
-    ``freeze`` method are left untouched.
+    ``freeze`` method are left untouched, and a zoo classifier arrives
+    frozen already; a float64 model's scores are the eval path's either
+    way.
 
     ``step_batch`` sets the attack's batch-native stepping window
     (:attr:`~repro.attacks.base.OnePixelAttack.batch_size`) inside the

@@ -178,8 +178,9 @@ WORKER_FLAGS = (
     )),
     ("--freeze", "freeze", dict(
         action="store_true",
-        help="serve network models on the inference fast path (folded "
-        "batch norms, reused buffers); no-op for the toy model",
+        help="serve network models on the inference fast path (float64 "
+        "keeps the eval path's scores; float32 folds batch norms); no-op "
+        "for the toy model",
     )),
     ("--dtype", "dtype", dict(
         choices=["float32", "float64"],
@@ -302,12 +303,13 @@ def build_classifier(config: ServeConfig):
     """The model a config names: toy by default, registry otherwise.
 
     ``freeze`` and ``dtype`` select the inference fast path for network
-    models (batch-norm folding, buffer reuse, optional float32 compute).
-    They change per-query latency only -- never how many submissions a
-    session is charged -- but frozen or float32 scores are merely
-    float-tolerance-close to the default float64 eval path, so leave
-    both off when serving runs pinned by bit-exact differential tests.
-    The toy classifier has no network to freeze; both knobs are no-ops.
+    models (gathered column builds, one scratch arena, optional float32
+    compute).  They change per-query latency only -- never how many
+    submissions a session is charged.  A frozen float64 model scores the
+    eval path's bits; float32 scores (frozen ones fold their batch
+    norms) are merely float-tolerance-close to them, so leave ``dtype``
+    off when serving runs pinned by bit-exact differential tests.  The
+    toy classifier has no network to freeze; both knobs are no-ops.
     """
     shape = (config.height, config.width, 3)
     if config.model == "toy":

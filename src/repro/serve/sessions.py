@@ -106,7 +106,7 @@ class AttackSession:
         #: JSON-safe request payload this session was built from; what a
         #: graceful drain persists so ``--resume`` can rebuild the
         #: session.  ``None`` for sessions created programmatically
-        #: (those cannot be persisted).
+        #: (those cannot be persisted) and once the session retires.
         self.spec = spec
         #: Optional ``observer(query, scores)`` trace hook, called for
         #: every answered query before the attack resumes -- the serving
@@ -604,6 +604,9 @@ class SessionManager:
     # ------------------------------------------------------------------
 
     def _retire(self, session: AttackSession) -> None:
+        # only a drain reads a spec, and only an open session's: the
+        # history of terminal sessions would otherwise pin every request
+        session.spec = None
         if session.state in (CANCELLED, EXPIRED):
             # mirrors the attack_summary shape: identity + final counts
             event = (

@@ -594,13 +594,13 @@ def tiny_network_classifier(
     """A deterministic conv+BN :class:`NetworkClassifier` for sweeps.
 
     Builds a minimal Conv-BN-ReLU-pool network, warms the batch-norm
-    running statistics with a few fixed training batches (so freeze-time
-    folding has non-trivial scale/shift to fold), and switches to eval
-    mode.  ``frozen=True`` returns it on the inference fast path --
-    batch norms folded into the convolutions, backward caches skipped.
-    Every call with the same arguments yields a bit-identical
-    classifier, which is what lets differential cells stay independent
-    yet comparable.
+    running statistics with a few fixed training batches (so batch norm
+    has a non-trivial scale/shift), and switches to eval mode.
+    ``frozen=True`` returns it on the inference fast path: at float64
+    with the eval path's scores bit for bit, at ``dtype=numpy.float32``
+    with its batch norms folded into the convolutions.  Every call with
+    the same arguments yields a bit-identical classifier, which is what
+    lets differential cells stay independent yet comparable.
     """
     from repro.classifier.blackbox import NetworkClassifier
     from repro.nn import (
@@ -647,12 +647,11 @@ def network_runner(
     Besides the execution paths, this exercises the :mod:`repro.nn`
     forward stack behind
     :class:`~repro.classifier.blackbox.NetworkClassifier` -- with
-    ``frozen=True``, the inference fast path (folded batch norms, reused
-    im2col workspaces, skipped backward caches).  A frozen sweep must
-    still be bit-identical across every cell: freezing changes *how*
-    scores are computed, not the determinism of one classifier.  A
-    frozen sweep against an unfrozen one is decision-level only; see the
-    fast-path acceptance tests.
+    ``frozen=True``, the inference fast path (gathered column builds in
+    one arena, skipped backward caches).  A frozen sweep must be
+    bit-identical across every cell, and at float64 each of its cells
+    equals the same cell of the unfrozen sweep, trace included (CI
+    compares them with :meth:`DifferentialRunner.run_cell`).
     """
     from repro.classifier.toy import make_toy_images
 

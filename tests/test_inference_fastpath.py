@@ -1,18 +1,26 @@
 """The inference fast path: freeze()/unfreeze(), conv+BN folding,
-workspace reuse, and the batch-norm precision fixes that ride along.
+the gathered column build and its arena, and the batch-norm precision
+fixes that ride along.
 
 Acceptance contract (mirrored by ``benchmarks/test_inference_fastpath.py``
 for throughput): the default unfrozen eval path stays bit-identical to
-the seed implementation, the frozen path is decision-identical with
-scores allclose at tight tolerance, and ``unfreeze()`` restores the
-bit-exact eval path with trainable parameters untouched.
+the seed implementation; a frozen float64 model scores eval's bits,
+scalar and batched; a frozen float32 model folds its batch norms and is
+decision-identical with scores allclose at float32 tolerance; and
+``unfreeze()`` restores the eval path with trainable parameters
+untouched.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classifier.blackbox import NetworkClassifier
-from repro.models.registry import build_model
+from repro.models.registry import ARCHITECTURES, build_model
 from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -95,18 +103,42 @@ class TestFreezeBasics:
 
 class TestFolding:
     def test_frozen_scores_allclose_and_decisions_identical(self, net, batch):
+        # float64 folds nothing, so the frozen scores are eval's bits
         reference = net(batch)
         net.freeze()
         frozen = net(batch)
-        assert np.allclose(frozen, reference, rtol=1e-9, atol=1e-12)
-        assert np.array_equal(frozen.argmax(axis=1), reference.argmax(axis=1))
+        assert np.array_equal(frozen, reference)
 
-    def test_conv_bn_actually_folds(self, net):
-        net.freeze()
+    def test_conv_bn_actually_folds(self, net, batch):
+        reference = net(batch)
+        net.astype(np.float32).freeze()
         convs = [m for m in net.modules() if isinstance(m, Conv2d)]
         bns = [m for m in net.modules() if isinstance(m, BatchNorm2d)]
         assert all(conv._folded_weight is not None for conv in convs)
         assert all(bn._folded for bn in bns)
+        folded = net(batch.astype(np.float32))
+        assert np.array_equal(folded.argmax(axis=1), reference.argmax(axis=1))
+        assert np.allclose(folded, reference, rtol=1e-4, atol=1e-5)
+
+    def test_float64_folds_nothing(self, net):
+        net.freeze()
+        assert not any(
+            getattr(module, "_folded_weight", None) is not None
+            for module in net.modules()
+        )
+        assert not any(
+            bn._folded for bn in net.modules() if isinstance(bn, BatchNorm2d)
+        )
+
+    def test_refreezing_at_float64_drops_float32_folds(self, net, batch):
+        net.astype(np.float32).freeze()
+        net.astype(np.float64)  # re-freezes at float64
+        assert net.frozen
+        assert not any(
+            bn._folded for bn in net.modules() if isinstance(bn, BatchNorm2d)
+        )
+        reference = copy.deepcopy(net).unfreeze()(batch)
+        assert np.array_equal(net(batch), reference)
 
     def test_bn_without_affine_predecessor_still_matches(self, batch):
         # a BN that follows a pool cannot fold; its frozen forward must
@@ -118,7 +150,7 @@ class TestFolding:
         model.freeze()
         bn = model[1]
         assert not bn._folded
-        assert np.allclose(model(batch), reference, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(model(batch), reference)
 
     def test_unfreeze_round_trip_is_bit_exact(self, net, batch):
         before_state = {k: v.copy() for k, v in net.state_dict().items()}
@@ -141,11 +173,13 @@ class TestFolding:
         refreshed = net(batch)
         # ...and refolds from the *new* weights, not the stale ones
         donor_reference = donor(batch)
-        assert np.allclose(refreshed, donor_reference, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(refreshed, donor_reference)
         assert not np.allclose(refreshed, stale, rtol=1e-9, atol=1e-12)
 
 
 class TestWorkspaceReuse:
+    """One grow-only arena serves every layer of a frozen model."""
+
     def test_repeated_same_shape_batches_are_deterministic(self, net, batch):
         net.freeze()
         first = net(batch).copy()
@@ -158,16 +192,27 @@ class TestWorkspaceReuse:
         ref_full = net(batch)
         ref_small = net(small)
         net.freeze()
-        assert np.allclose(net(batch), ref_full, rtol=1e-9, atol=1e-12)
-        assert np.allclose(net(small), ref_small, rtol=1e-9, atol=1e-12)
-        assert np.allclose(net(batch), ref_full, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(net(batch), ref_full)
+        assert np.array_equal(net(small), ref_small)
+        assert np.array_equal(net(batch), ref_full)
 
     def test_avgpool_frozen_matches_eval(self):
         x = np.random.default_rng(8).random((2, 3, 6, 6))
-        pool = AvgPool2d(3, stride=1, padding=1)
-        reference = pool(x)
-        pool.freeze()
-        assert np.allclose(pool(x), reference, rtol=1e-12, atol=1e-15)
+        for kernel, stride, padding in [(3, 1, 1), (3, 2, 1), (2, 2, 0), (4, 1, 2)]:
+            pool = AvgPool2d(kernel, stride=stride, padding=padding)
+            reference = pool(x)
+            pool.freeze()
+            assert np.array_equal(pool(x), reference), (kernel, stride, padding)
+
+    def test_pickle_and_deepcopy_drop_the_arena(self, net, batch):
+        net.freeze()
+        net(np.random.default_rng(16).random((64, 3, 8, 8)))  # grows the arena
+        assert net[0]._arena._buffers
+        for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            convs = [m for m in clone.modules() if isinstance(m, Conv2d)]
+            assert not convs[0]._arena._buffers
+            assert all(conv._arena is convs[0]._arena for conv in convs)
+            assert np.array_equal(clone(batch), net(batch))
 
     def test_maxpool_frozen_is_bit_exact(self):
         x = np.random.default_rng(9).random((2, 3, 6, 6))
@@ -184,9 +229,7 @@ class TestNetworkClassifierFastPath:
         rng = np.random.default_rng(10)
         for _ in range(10):
             image = rng.random((8, 8, 3))
-            a, b = plain(image), frozen(image)
-            assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
-            assert a.argmax() == b.argmax()
+            assert np.array_equal(plain(image), frozen(image))
 
     def test_float32_frozen_decisions_match(self):
         plain = tiny_network_classifier()
@@ -220,11 +263,7 @@ class TestRegistryModels:
         batch = rng.random((4, 3, 16, 16))
         reference = model(batch)
         model.freeze()
-        frozen = model(batch)
-        assert np.allclose(frozen, reference, rtol=1e-8, atol=1e-10), arch
-        assert np.array_equal(
-            frozen.argmax(axis=1), reference.argmax(axis=1)
-        ), arch
+        assert np.array_equal(model(batch), reference), arch
         model.unfreeze()
         assert np.array_equal(model(batch), reference), arch
 
@@ -239,6 +278,50 @@ class TestRegistryModels:
         self._check(arch)
 
 
+def _warmed_model(arch: str, size: int):
+    rng = np.random.default_rng(0)
+    model = build_model(arch, num_classes=10, seed=0)
+    model.train()
+    model(rng.normal(0.45, 0.25, size=(8, 3, size, size)))
+    return model.eval()
+
+
+class TestFrozenFloat64IsEval:
+    """The exactness contract over every zoo architecture: a frozen
+    float64 classifier's scores equal the eval path's bit for bit,
+    scalar and batched.  Batch sizes alternate, so the one arena of the
+    frozen model regrows and is reused between forwards."""
+
+    def _check(self, arch: str, size: int):
+        model = _warmed_model(arch, size)
+        plain = NetworkClassifier(copy.deepcopy(model))
+        frozen = NetworkClassifier(model, freeze=True)
+
+        @settings(max_examples=4, deadline=None)
+        @given(
+            st.lists(st.integers(1, 12), min_size=2, max_size=4),
+            st.integers(0, 2**31 - 1),
+        )
+        def scores_are_eval_bits(batch_sizes, seed):
+            rng = np.random.default_rng(seed)
+            for batch_size in batch_sizes:
+                images = rng.random((batch_size, size, size, 3))
+                assert np.array_equal(frozen.batch(images), plain.batch(images))
+                for image in images[:3]:
+                    assert np.array_equal(frozen(image), plain(image))
+
+        scores_are_eval_bits()
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_8x8(self, arch):
+        self._check(arch, 8)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_16x16(self, arch):
+        self._check(arch, 16)
+
+
 class TestBatchNormPrecision:
     def test_momentum_zero_supported_under_freeze(self):
         # the freeze path relies on stats staying put; momentum=0 is the
@@ -248,7 +331,7 @@ class TestBatchNormPrecision:
         x = np.random.default_rng(13).random((2, 2, 4, 4))
         reference = bn(x)
         bn.freeze()
-        assert np.allclose(bn(x), reference, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(bn(x), reference)
 
     def test_eval_float32_fold_computed_in_float64(self):
         # harsh statistics: large mean, tiny variance.  Downcasting the

@@ -3,7 +3,8 @@
 The correctness of every convolution gradient in the framework reduces to
 one algebraic fact: ``col2im`` is the adjoint of ``im2col``,
 ``<im2col(x), y> = <x, col2im(y)>`` for all x, y.  Hypothesis checks it
-across shapes, strides and paddings.
+across shapes, strides and paddings, and checks that the frozen path's
+gathered column build is the strided unfold, entry for entry.
 """
 
 import numpy as np
@@ -11,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import (
+    InferenceArena,
+    col2im,
+    conv_output_size,
+    im2col,
+    im2col_gather,
+)
 
 
 @st.composite
@@ -86,3 +93,27 @@ class TestIm2Col:
         values = set(np.round(x.reshape(-1), 9)) | {0.0}
         for entry in np.round(cols.reshape(-1), 9):
             assert entry in values
+
+
+class TestIm2colGather:
+    #: shared by every example, so it regrows and is reused between them
+    arena = InferenceArena()
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_setups(), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_gather_equals_unfold(self, setup, channels_last, seed):
+        n, c, h, w, kernel, stride, padding = setup
+        try:
+            conv_output_size(h, kernel, stride, padding)
+            conv_output_size(w, kernel, stride, padding)
+        except ValueError:
+            return
+        rng = np.random.default_rng(seed)
+        if channels_last:  # a conv output: NCHW view of NHWC memory
+            x = rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
+        else:
+            x = rng.normal(size=(n, c, h, w))
+        expected = im2col(x, kernel, stride, padding)
+        cols, out_h, out_w = im2col_gather(x, kernel, stride, padding, self.arena)
+        assert (out_h, out_w) == expected[1:]
+        assert np.array_equal(cols, expected[0])

@@ -101,6 +101,26 @@ class TestDrain:
         assert record["id"] == accepted["id"]
         assert record["spec"] == payload
 
+    def test_retired_session_drops_its_spec_open_one_persists_it(self, tmp_path):
+        server = AttackServer(_config(tmp_path))
+        _slow_broker(server)
+        server.broker.start()
+        payload = _hard_request(server)
+        request = decode_attack_request({**payload, "budget": 3})
+        finished = server.sessions.create(
+            request.attack, request.image, request.true_class,
+            budget=request.budget, spec={**payload, "budget": 3},
+        )
+        server.sessions.drive(finished)  # runs to its budget, then retires
+        # only a drain reads a spec, and only an open session's
+        assert finished.spec is None
+        open_id = _submit(server, payload)[1]["id"]
+        time.sleep(0.05)  # let the driver pose a few queries
+        assert server.drain_and_stop()["persisted"] == 1
+        assert server.sessions.get(open_id).spec == payload
+        (record,) = CheckpointStore(str(tmp_path)).records()[0]
+        assert (record["id"], record["spec"]) == (open_id, payload)
+
     def test_draining_server_rejects_submissions_with_503(self, tmp_path):
         server = AttackServer(_config(tmp_path))
         _slow_broker(server)

@@ -1,8 +1,12 @@
 """Tests for the model zoo (training, caching, filtering)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.classifier.blackbox import NetworkClassifier
 from repro.models.zoo import ModelZoo, ZooConfig
 
 
@@ -107,22 +111,37 @@ class TestZooTrainingAndCaching:
         assert (subset.labels == 3).all()
 
     def test_frozen_classifier_leaves_shared_model_untouched(self, tiny_config):
-        """``frozen_classifier()`` must freeze a *copy*: the shared
-        ``trained.classifier`` stays on the bit-exact eval path while the
-        frozen one is decision-identical and tolerance-close to it."""
+        """The zoo hands out its classifier frozen, with the eval path's
+        bits; ``frozen_classifier(np.float32)`` casts and folds a *copy*,
+        so the shared model stays float64."""
         zoo = ModelZoo(tiny_config)
         trained = zoo.get("vgg16bn")
         images = zoo.dataset("test").images[:6]
-        reference = trained.classifier.batch(images)
-        fast = trained.frozen_classifier()
-        assert fast.frozen
-        assert not trained.model.frozen
-        assert not trained.classifier.frozen
-        frozen_scores = fast.batch(images)
-        assert np.allclose(frozen_scores, reference, rtol=1e-8, atol=1e-10)
-        assert np.array_equal(
-            frozen_scores.argmax(axis=1), reference.argmax(axis=1)
-        )
-        # the shared classifier still reproduces its original scores bit
-        # for bit -- proof the deep copy really isolated the fast path
+        assert trained.classifier.frozen
+        plain = NetworkClassifier(copy.deepcopy(trained.model).unfreeze())
+        reference = plain.batch(images)
         assert np.array_equal(trained.classifier.batch(images), reference)
+        for image in images:
+            assert np.array_equal(trained.classifier(image), plain(image))
+        fast = trained.frozen_classifier(np.float32)
+        assert fast.frozen
+        assert all(
+            param.data.dtype == np.float64 for param in trained.model.parameters()
+        )
+        assert np.array_equal(
+            fast.batch(images).argmax(axis=1), reference.argmax(axis=1)
+        )
+        # the shared classifier still reproduces its scores bit for bit --
+        # proof the deep copy really isolated the cast
+        assert np.array_equal(trained.classifier.batch(images), reference)
+
+    def test_frozen_classifier_pickles_near_its_weights(self, tiny_config):
+        """Neither training's backward caches nor a big batch's scratch
+        ride along when the classifier ships to a worker process."""
+        trained = ModelZoo(tiny_config).get("vgg16bn")
+        trained.classifier.batch(np.random.default_rng(0).random((1000, 8, 8, 3)))
+        weights = sum(
+            param.data.nbytes + param.grad.nbytes
+            for param in trained.model.parameters()
+        )
+        assert len(pickle.dumps(trained.classifier)) < 1.1 * weights
