@@ -116,11 +116,12 @@ class NetworkClassifier:
     float64 in the last bits; returned scores are always float64).
 
     Pass ``freeze=True`` (or call :meth:`freeze` later) to enable the
-    model's inference fast path: backward caches are skipped and
-    convolutions gather their column matrices into one scratch arena
-    (see :meth:`repro.nn.Module.freeze`).  At float64 the scores are the
-    unfrozen eval path's bit for bit; below float64 the batch norms are
-    also folded into the preceding convolutions, and the scores stay
+    model's inference fast path: backward caches are skipped and each
+    planned part of the model runs as one flat step list over a scratch
+    pool the model owns (see :meth:`repro.nn.Module.freeze` and
+    :mod:`repro.nn.plan`).  At float64 the scores are the unfrozen eval
+    path's bit for bit; below float64 the batch norms are also folded
+    into the preceding convolutions, and the scores stay
     decision-identical and float-tolerance-close.  A frozen model
     serves one forward at a time.
     """
@@ -156,7 +157,7 @@ class NetworkClassifier:
         if self.dtype is not None:
             batch = batch.astype(self.dtype)
         logits = self.model(np.ascontiguousarray(batch))
-        scores = softmax(logits.astype(np.float64), axis=1)[0]
+        scores = softmax(np.asarray(logits, dtype=np.float64), axis=1)[0]
         self._num_classes = scores.shape[0]
         return scores
 
@@ -183,7 +184,7 @@ class NetworkClassifier:
         batch = np.ascontiguousarray(images.transpose(0, 3, 1, 2))
         if self.dtype is not None:
             batch = batch.astype(self.dtype)
-        scores = softmax(self.model(batch).astype(np.float64), axis=1)
+        scores = softmax(np.asarray(self.model(batch), dtype=np.float64), axis=1)
         self._num_classes = scores.shape[1]
         return scores
 

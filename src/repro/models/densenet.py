@@ -31,6 +31,9 @@ class DenseLayer(Module):
         )
         self._in_channels = in_channels
 
+    def _lower(self, planner, x):
+        return planner.concat(self, [x, planner.lower(self.body, x)])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         new = self.body(x)
         return np.concatenate([x, new], axis=1)

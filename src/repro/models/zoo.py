@@ -96,12 +96,12 @@ class TrainedModel:
 
     :attr:`classifier` wraps :attr:`model` frozen (see
     :meth:`repro.nn.Module.freeze`): float64 scores bit-identical to the
-    eval path, at the inference fast path's speed.  Everything that
-    scores through it -- synthesis, ``attack_dataset``, the experiments,
-    campaigns, ``repro attack`` -- runs one forward at a time, which a
-    frozen model requires.  Only serve and cluster threads call
-    classifiers concurrently, and they build their own models and call
-    them behind the broker's model lock.
+    eval path, computed by planned step lists over one scratch pool the
+    model owns.  Everything that scores through it -- synthesis,
+    ``attack_dataset``, the experiments, campaigns, ``repro attack`` --
+    runs one forward at a time, which that pool requires.  Only serve
+    and cluster threads call classifiers concurrently, and they build
+    their own models and call them behind the broker's model lock.
     """
 
     arch: str

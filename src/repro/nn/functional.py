@@ -2,15 +2,14 @@
 
 Convolutions are implemented with im2col / col2im so that the heavy lifting
 is a single matrix multiply, which is the only way to get acceptable CPU
-throughput out of numpy.  Frozen models build the same column matrix by
-one gather (:func:`im2col_gather`) into an :class:`InferenceArena`.
+throughput out of numpy.  A frozen model's plan (:mod:`repro.nn.plan`)
+builds the same column matrix by one gather over :func:`gather_index`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -46,7 +45,8 @@ def im2col(
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
     ``(N * out_h * out_w, C * kernel * kernel)``, each row one window in
     ``(c, ki, kj)`` order.  This strided unfold is the training and eval
-    path; :func:`im2col_gather` builds the same matrix for frozen models.
+    path; a frozen model's plan gathers the same matrix over
+    :func:`gather_index`.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
@@ -76,92 +76,41 @@ def im2col(
     return np.ascontiguousarray(cols), out_h, out_w
 
 
-class InferenceArena:
-    """Grow-only scratch memory shared by the layers of one frozen model.
-
-    :meth:`repro.nn.Module.freeze` creates one arena per model and hands
-    it to every layer that needs scratch space.  A layer's scratch (a
-    padded canvas, a column matrix) is consumed before the layer returns,
-    and no layer output ever lives in the arena, so one buffer per slot
-    serves every layer in turn: memory is the largest layer's need, not
-    the sum over layers.  Buffers only grow, so a forward after the
-    first allocates no scratch.
-
-    The arena makes a frozen model one-forward-at-a-time.  It is never
-    pickled or deep-copied: a copy comes back empty.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self):
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, slot: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised ``shape`` array of ``dtype`` in ``slot``,
-        valid until the next :meth:`take` of the same slot."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        buffer = self._buffers.get(slot)
-        if buffer is None or buffer.nbytes < nbytes:
-            buffer = self._buffers[slot] = np.empty(nbytes, dtype=np.uint8)
-        return buffer[:nbytes].view(dtype).reshape(shape)
-
-    def __reduce__(self):
-        return (InferenceArena, ())
-
-    def __deepcopy__(self, memo) -> "InferenceArena":
-        return InferenceArena()
-
-
 @functools.lru_cache(maxsize=256)
 def gather_index(
-    channels: int, height: int, width: int, kernel: int, stride: int, padding: int
+    channels: int,
+    height: int,
+    width: int,
+    kernel: int,
+    stride: int,
+    padding: int,
+    border: int,
 ) -> np.ndarray:
-    """Per-image offsets of :func:`im2col_gather`'s column matrix.
+    """Per-image offsets of :func:`im2col`'s column matrix in a canvas.
 
-    Entry ``[oy * out_w + ox, (c * kernel + ki) * kernel + kj]`` is the
-    flat offset of tap ``(c, ki, kj)`` of window ``(oy, ox)`` in one
-    image of a zero-bordered channels-last canvas.  A pure function of
-    the geometry, so it is built once per geometry and shared read-only.
+    A canvas is one image stored channels-last, ``(height + 2 * border,
+    width + 2 * border, channels)``, with a zero border at least as wide
+    as ``padding``.  Entry
+    ``[oy * out_w + ox, (c * kernel + ki) * kernel + kj]`` is the flat
+    offset of tap ``(c, ki, kj)`` of window ``(oy, ox)``, so one
+    ``np.take`` of a canvas over this table is :func:`im2col`'s matrix,
+    the same values in the same order.  A pure function of the geometry,
+    so it is built once per geometry and shared read-only.
     """
+    if border < padding:
+        raise ValueError(f"border {border} is narrower than padding {padding}")
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
-    row = np.arange(out_h)[:, None, None, None, None] * stride
-    col = np.arange(out_w)[None, :, None, None, None] * stride
+    shift = border - padding
+    row = np.arange(out_h)[:, None, None, None, None] * stride + shift
+    col = np.arange(out_w)[None, :, None, None, None] * stride + shift
     channel = np.arange(channels)[None, None, :, None, None]
     ki = np.arange(kernel)[None, None, None, :, None]
     kj = np.arange(kernel)[None, None, None, None, :]
-    offsets = ((row + ki) * (width + 2 * padding) + col + kj) * channels + channel
+    offsets = ((row + ki) * (width + 2 * border) + col + kj) * channels + channel
     index = offsets.reshape(out_h * out_w, channels * kernel * kernel).astype(np.intp)
     index.flags.writeable = False
     return index
-
-
-def im2col_gather(
-    x: np.ndarray, kernel: int, stride: int, padding: int, arena: InferenceArena
-) -> Tuple[np.ndarray, int, int]:
-    """:func:`im2col`'s column matrix, built by one gather into ``arena``.
-
-    ``x`` is copied once into a zero-bordered channels-last canvas, and
-    one ``np.take`` over :func:`gather_index` fills the matrix, the same
-    values in the same order as :func:`im2col`.  ``cols`` lives in the
-    arena: consume it before the arena's next use.
-    """
-    n, c, h, w = x.shape
-    index = gather_index(c, h, w, kernel, stride, padding)
-    rows, width = index.shape
-    canvas = arena.take("canvas", (n, h + 2 * padding, w + 2 * padding, c), x.dtype)
-    if padding > 0:
-        canvas.fill(0)  # the slot held another layer's canvas
-    canvas[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
-    cols = arena.take("columns", (n * rows, width), x.dtype)
-    # "clip" never moves an in-range index; "raise" would buffer `out`
-    np.take(
-        canvas.reshape(n, -1), index, axis=1,
-        out=cols.reshape(n, rows, width), mode="clip",
-    )
-    out_h = conv_output_size(h, kernel, stride, padding)
-    return cols, out_h, conv_output_size(w, kernel, stride, padding)
 
 
 def col2im(

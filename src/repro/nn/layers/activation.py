@@ -16,6 +16,9 @@ class ReLU(Module):
         super().__init__()
         self._mask = None
 
+    def _lower(self, planner, x):
+        return planner.relu(self, x)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.inference:
             return np.maximum(x, 0.0)  # single pass, no backward mask

@@ -22,7 +22,7 @@ class Sequential(Module):
         self.layers.append(layer)
         return self
 
-    def _freeze_hook(self, arena) -> None:
+    def _freeze_hook(self) -> None:
         # ahead-of-time conv+BN folding below float64: a batch norm
         # directly following an affine layer (conv-BN[-ReLU] is the
         # dominant block in every model here) folds its eval scale/shift
@@ -37,6 +37,11 @@ class Sequential(Module):
                 and weight.data.dtype != np.float64
             ):
                 layer.fold_into(previous)
+
+    def _lower(self, planner, x):
+        for layer in self.layers:
+            x = planner.lower(layer, x)
+        return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -67,13 +72,21 @@ class Residual(Module):
         self.body = body
         self.shortcut = shortcut
 
+    def _lower(self, planner, x):
+        out = planner.lower(self.body, x)
+        skip = planner.lower(self.shortcut, x) if self.shortcut is not None else x
+        self._check_shapes(out.shape, skip.shape)
+        return planner.add(self, out, skip)
+
+    @staticmethod
+    def _check_shapes(out, skip) -> None:
+        if out != skip:
+            raise ValueError(f"residual shape mismatch: body {out} vs skip {skip}")
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.body(x)
         skip = self.shortcut(x) if self.shortcut is not None else x
-        if out.shape != skip.shape:
-            raise ValueError(
-                f"residual shape mismatch: body {out.shape} vs skip {skip.shape}"
-            )
+        self._check_shapes(out.shape, skip.shape)
         return out + skip
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

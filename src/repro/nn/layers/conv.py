@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import initializers
-from repro.nn.functional import col2im, im2col, im2col_gather
+from repro.nn.functional import col2im, im2col
+from repro.nn.layers.norm import frozen_weights
 from repro.nn.module import Module, Parameter
 
 
@@ -59,57 +60,35 @@ class Conv2d(Module):
         self._cache = None
         self._folded_weight = None  # BN folded in at freeze time, else None
         self._folded_bias = None
-        self._arena = None  # the frozen model's scratch, else None
-
-    def _freeze_hook(self, arena) -> None:
-        self._arena = arena
 
     def _unfreeze_hook(self) -> None:
         self._folded_weight = None
         self._folded_bias = None
-        self._arena = None
+
+    def _check_input(self, shape) -> None:
+        if len(shape) != 4 or shape[1] != self.in_channels:
+            raise ValueError(
+                f"expected (N, {self.in_channels}, H, W) input, got {shape}"
+            )
+
+    def _lower(self, planner, x):
+        self._check_input(x.shape)
+        return planner.conv(
+            self, x, *frozen_weights(self), self.kernel_size, self.stride, self.padding
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected (N, {self.in_channels}, H, W) input, got {x.shape}"
-            )
-        if self.inference:
-            return self._forward_inference(x)
+        self._check_input(x.shape)
         cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
-        if self.bias is not None:
-            out += self.bias.data
+        weight, bias = frozen_weights(self)  # a frozen fold, as the plan's
+        out = cols @ weight.reshape(self.out_channels, -1).T
+        if bias is not None:
+            out += bias
         n = x.shape[0]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (x.shape, cols)
+        if not self.inference:
+            self._cache = (x.shape, cols)
         return out
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Forward without backward caches, over the same column matrix
-        as the eval path, so the GEMM and its bits are eval's.  A 1x1,
-        stride-1, unpadded convolution's matrix is its channels-last
-        input (free when the input already is in that memory order);
-        any other is gathered into the model's arena and consumed by the
-        GEMM before this method returns."""
-        n, c, h, w = x.shape
-        if self.kernel_size == 1 and self.stride == 1 and self.padding == 0:
-            cols = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, c)
-            out_h, out_w = h, w
-        else:
-            cols, out_h, out_w = im2col_gather(
-                x, self.kernel_size, self.stride, self.padding, self._arena
-            )
-        weight = self._folded_weight if self._folded_weight is not None else (
-            self.weight.data
-        )
-        out = cols @ weight.reshape(self.out_channels, -1).T
-        if self._folded_bias is not None:
-            out += self._folded_bias
-        elif self.bias is not None:
-            out += self.bias.data
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self.inference:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import initializers
+from repro.nn.layers.norm import frozen_weights
 from repro.nn.module import Module, Parameter
 
 
@@ -36,25 +37,24 @@ class Linear(Module):
         self._folded_weight = None
         self._folded_bias = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+    def _check_input(self, shape) -> None:
+        if len(shape) != 2 or shape[1] != self.in_features:
             raise ValueError(
-                f"expected (N, {self.in_features}) input, got {x.shape}"
+                f"expected (N, {self.in_features}) input, got {shape}"
             )
-        if self.inference:
-            weight = self._folded_weight if self._folded_weight is not None else (
-                self.weight.data
-            )
-            out = x @ weight.T
-            if self._folded_bias is not None:
-                out += self._folded_bias
-            elif self.bias is not None:
-                out += self.bias.data
-            return out
-        self._cache = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out += self.bias.data
+
+    def _lower(self, planner, x):
+        self._check_input(x.shape)
+        return planner.linear(self, x, *frozen_weights(self))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._check_input(x.shape)
+        if not self.inference:
+            self._cache = x
+        weight, bias = frozen_weights(self)  # a frozen fold, as the plan's
+        out = x @ weight.T
+        if bias is not None:
+            out += bias
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -8,6 +8,15 @@ from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
 
+def frozen_weights(layer):
+    """The ``(weight, bias)`` ``layer`` (a conv or linear layer) computes
+    with: those of a batch norm folded into it while frozen, else its
+    own (``bias`` is ``None`` when it has none)."""
+    if layer._folded_weight is not None:
+        return layer._folded_weight, layer._folded_bias
+    return layer.weight.data, layer.bias.data if layer.bias is not None else None
+
+
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, C, H, W) inputs.
 
@@ -68,10 +77,11 @@ class BatchNorm2d(Module):
         :class:`~repro.nn.layers.linear.Linear`), plus an optional
         ``bias``.  The fold is computed in float64 from the *current*
         parameters and stored in side buffers (``_folded_weight`` /
-        ``_folded_bias``) that the preceding layer's inference forward
-        picks up -- trainable parameters are never touched, so
-        unfreezing restores exact training behaviour.  Afterwards this
-        layer passes frozen inputs through unchanged.
+        ``_folded_bias``) that the preceding layer's plan rule and
+        ``forward`` pick up (:func:`frozen_weights`) -- trainable
+        parameters are never touched, so unfreezing restores exact
+        training behaviour.  Afterwards this layer passes frozen inputs
+        through unchanged.
 
         Returns ``False`` (and folds nothing) when ``preceding`` has no
         compatible weight.
@@ -96,33 +106,35 @@ class BatchNorm2d(Module):
         self._folded = True
         return True
 
-    def _freeze_hook(self, arena) -> None:
+    def _freeze_hook(self) -> None:
         # precompute eval's fused transform once (the same float64 values
         # eval derives per call); if a container folds this layer into
-        # its predecessor these go unused (forward then degenerates to
-        # the identity)
-        scale, shift, _ = self._eval_scale_shift()
-        self._scale = scale[None, :, None, None]
-        self._shift = shift[None, :, None, None]
+        # its predecessor these go unused (the plan skips this layer)
+        self._scale, self._shift, _ = self._eval_scale_shift()
 
     def _unfreeze_hook(self) -> None:
         self._folded = False
         self._scale = None
         self._shift = None
 
+    def _check_input(self, shape) -> None:
+        if len(shape) != 4 or shape[1] != self.num_features:
+            raise ValueError(
+                f"expected (N, {self.num_features}, H, W) input, got {shape}"
+            )
+
+    def _lower(self, planner, x):
+        self._check_input(x.shape)
+        if self._folded:
+            return x  # absorbed by the preceding conv/linear weights
+        return planner.affine(self, x, self._scale, self._shift)
+
     # -- compute -----------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"expected (N, {self.num_features}, H, W) input, got {x.shape}"
-            )
-        if self.inference:
-            if self._folded:
-                return x  # absorbed by the preceding conv/linear weights
-            out = x * self._scale
-            out += self._shift
-            return out if out.dtype == x.dtype else out.astype(x.dtype)
+        self._check_input(x.shape)
+        if self._folded:
+            return x  # absorbed by the preceding conv/linear weights
         if self.training:
             axes = (0, 2, 3)
             mean = x.mean(axis=axes)
@@ -143,7 +155,8 @@ class BatchNorm2d(Module):
             scale, shift, inv_std = self._eval_scale_shift()
             out = x * scale[None, :, None, None]
             out += shift[None, :, None, None]
-            self._cache = ("eval", x, inv_std)
+            if not self.inference:
+                self._cache = ("eval", x, inv_std)
             return out if out.dtype == x.dtype else out.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]

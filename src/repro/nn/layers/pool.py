@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, im2col
 from repro.nn.module import Module
 
 
@@ -37,59 +37,24 @@ class _PoolBase(Module):
 class MaxPool2d(_PoolBase):
     """Max pooling with a square window.
 
-    Frozen, it never builds the column matrix: it takes the maximum over
-    the ``kernel**2`` shifted strided slices of the (padded) input,
-    which is several times faster on the stride-1 pools inside
-    inception blocks.  A maximum is exact in any order, so the result is
-    eval's bit for bit.
+    Frozen, its plan never builds the column matrix: it takes the
+    maximum over the ``kernel**2`` shifted strided views of the
+    zero-padded input, which is several times faster on the stride-1
+    pools inside inception blocks.  A maximum is exact in any order, so
+    the result is eval's bit for bit.
     """
 
-    def __init__(self, kernel_size: int, stride: int = None, padding: int = 0):
-        super().__init__(kernel_size, stride, padding)
-        self._arena = None  # the frozen model's scratch, else None
-
-    def _freeze_hook(self, arena) -> None:
-        self._arena = arena
-
-    def _unfreeze_hook(self) -> None:
-        self._arena = None
+    def _lower(self, planner, x):
+        return planner.maxpool(self, x, self.kernel_size, self.stride, self.padding)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.inference:
-            return self._forward_inference(x)
         n, c, h, w = x.shape
         cols, out_h, out_w = self._unfold(x)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (x.shape, cols.shape, argmax, out_h, out_w)
+        if not self.inference:
+            self._cache = (x.shape, cols.shape, argmax, out_h, out_w)
         return out.reshape(n * c, out_h, out_w).reshape(n, c, out_h, out_w)
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, stride, pad = self.kernel_size, self.stride, self.padding
-        out_h = conv_output_size(h, k, stride, pad)
-        out_w = conv_output_size(w, k, stride, pad)
-        if pad > 0:
-            shape = (n, c, h + 2 * pad, w + 2 * pad)
-            padded = self._arena.take("canvas", shape, x.dtype)
-            padded.fill(0)  # eval's im2col pads with zeros too
-            padded[:, :, pad : pad + h, pad : pad + w] = x
-            x = padded
-        windows = (
-            x[
-                :, :, ki : ki + stride * out_h : stride,
-                kj : kj + stride * out_w : stride,
-            ]
-            for ki in range(k)
-            for kj in range(k)
-        )
-        # a fresh output in eval's (contiguous NCHW) memory order, so the
-        # layers after this one reduce in eval's order too
-        out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-        np.copyto(out, next(windows))
-        for window in windows:
-            np.maximum(out, window, out=out)
-        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x_shape, cols_shape, argmax, out_h, out_w = self._cache
@@ -106,11 +71,14 @@ class MaxPool2d(_PoolBase):
 class AvgPool2d(_PoolBase):
     """Average pooling with a square window.
 
-    Frozen, it computes the average exactly as eval does (a mean over the
-    unfolded windows) and only skips the backward cache: a sum over the
+    Frozen, its plan takes eval's mean over the same windows, one row of
+    ``kernel**2`` values each (gathered channels-last): a sum over the
     shifted slices would add a 3x3 window in another order than numpy's
     pairwise row sum and differ from eval in the last bit.
     """
+
+    def _lower(self, planner, x):
+        return planner.avgpool(self, x, self.kernel_size, self.stride, self.padding)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -139,6 +107,9 @@ class GlobalAvgPool2d(Module):
     def __init__(self):
         super().__init__()
         self._cache = None
+
+    def _lower(self, planner, x):
+        return planner.global_avgpool(self, x)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.inference:

@@ -37,6 +37,9 @@ class Concat(Module):
             self.register_module(f"branch{index}", branch)
         self._splits = None
 
+    def _lower(self, planner, x):
+        return planner.concat(self, [planner.lower(branch, x) for branch in self.branches])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         outputs = [branch(x) for branch in self.branches]
         self._splits = np.cumsum([out.shape[1] for out in outputs])[:-1]

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.nn.functional import InferenceArena
+from repro.nn.plan import PlanPool
 
 
 class Parameter:
@@ -51,6 +51,13 @@ class Module:
     #: Freezing drops them: a frozen model has no backward, and a stale
     #: cache would pin (and pickle) the last eval batch's intermediates.
     _backward_cache: Tuple[str, ...] = ("_cache",)
+    #: The plan rule, ``_lower(planner, x) -> value``, of a class whose
+    #: frozen forward the planner lowers (:mod:`repro.nn.plan`); a class
+    #: without one runs as one opaque step of its parent's plan.
+    _lower = None
+    #: The frozen model's :class:`~repro.nn.plan.PlanPool`, on modules
+    #: with a plan rule while frozen; ``None`` otherwise.
+    _pool = None
 
     def __init__(self):
         self._parameters: Dict[str, Parameter] = {}
@@ -63,8 +70,10 @@ class Module:
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self.__dict__.setdefault("_parameters", {})[name] = value
+            self._replan()
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
+            self._replan()
         object.__setattr__(self, name, value)
 
     def register_module(self, name: str, module: "Module") -> None:
@@ -75,6 +84,14 @@ class Module:
         """
         self._modules[name] = module
         object.__setattr__(self, name, module)
+        self._replan()
+
+    def _replan(self) -> None:
+        # a frozen tree's plans hold its parameters and children as they
+        # were: a new one drops them (an unfrozen child then runs its
+        # own forward)
+        if self._pool is not None:
+            self._pool.clear()
 
     # -- traversal ---------------------------------------------------------
 
@@ -127,10 +144,13 @@ class Module:
         - every layer drops its backward cache, and its forward skips
           building one (the arrays ``backward`` would need are simply
           never stored);
-        - convolutions build their column matrix by one gather, and
-          they and the padded pools take their scratch from one
-          grow-only :class:`~repro.nn.functional.InferenceArena` that
-          this call creates for the whole model;
+        - calling a frozen module that has a plan rule runs its *plan*
+          (:mod:`repro.nn.plan`): on the first call at an input shape
+          the module tree is lowered once to a flat list of numpy calls
+          over views of one grow-only pool that this call creates for
+          the whole model -- channels-last activations, one gather and
+          one GEMM per convolution, batch norms and ReLUs written in
+          place into the next layer's zero-bordered input;
         - batch norm precomputes eval's scale and shift, and, for
           weights that are not float64, folds them ahead of time into a
           directly preceding convolution or linear layer (see
@@ -141,25 +161,41 @@ class Module:
         parameters are never mutated: folded weights live in side
         buffers, so :meth:`unfreeze` (or :meth:`train`, which unfreezes
         implicitly) restores exact training behaviour.  Idempotent;
-        re-freezing recomputes the folds from the current parameters.
-        ``backward`` is unavailable while frozen, and the shared arena
-        makes a frozen model one-forward-at-a-time.
+        re-freezing recomputes the folds from the current parameters
+        and drops every plan.  ``backward`` is unavailable while frozen,
+        and the shared pool makes a frozen model one-forward-at-a-time.
+        A frozen module's ``forward`` stays eval's computation with the
+        folds, without backward caches; only calling it runs the plan.
+        Inputs the plan does not take (memory with gaps, other ranks)
+        and a tree with a part unfrozen since run ``forward`` instead.
+        Assigning a parameter or a child module drops the plans; an
+        array swapped into ``param.data`` needs a re-freeze
+        (:meth:`load_state_dict` and :meth:`astype` re-freeze).
         """
-        self.unfreeze()  # drop an earlier freeze's folds and arena
+        self.unfreeze()  # drop an earlier freeze's folds and plans
         self.eval()
-        arena = InferenceArena()
+        pool = PlanPool()
         for module in self.modules():
             module.inference = True
             for name in module._backward_cache:
                 if getattr(module, name, None) is not None:
                     setattr(module, name, None)
+            if module._lower is not None:
+                module._pool = pool
         for module in self.modules():
-            module._freeze_hook(arena)
+            module._freeze_hook()
         return self
 
     def unfreeze(self) -> "Module":
-        """Leave the inference fast path (stays in eval mode)."""
+        """Leave the inference fast path (stays in eval mode).
+
+        Also empties the pool this subtree was frozen with, so a module
+        above it that shares the pool replans with the current weights.
+        """
         for module in self.modules():
+            if module._pool is not None:
+                module._pool.clear()
+                module._pool = None
             if module.inference:
                 module.inference = False
                 module._unfreeze_hook()
@@ -169,8 +205,17 @@ class Module:
     def frozen(self) -> bool:
         return self.inference
 
-    def _freeze_hook(self, arena: InferenceArena) -> None:
-        """Per-layer freeze-time preparation (folds, the model's arena)."""
+    def plan(self, x: np.ndarray):
+        """The plan a frozen call of this module runs on inputs shaped
+        like ``x`` (``print`` it to list its steps)."""
+        if self._pool is None:
+            raise RuntimeError(
+                f"{type(self).__name__} runs no plan: freeze a module with a plan rule"
+            )
+        return self._pool.plan(self, x)
+
+    def _freeze_hook(self) -> None:
+        """Per-layer freeze-time preparation (folds, eval's constants)."""
 
     def _unfreeze_hook(self) -> None:
         """Discard per-layer frozen state."""
@@ -188,6 +233,8 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._pool is not None:
+            return self._pool.run(self, x)
         return self.forward(x)
 
     # -- state dict --------------------------------------------------------

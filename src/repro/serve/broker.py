@@ -175,8 +175,8 @@ class MicroBatchBroker:
         # plain QueryCache (or None) keeps the broker purely local.
         self._l2_capable = cache is not None and hasattr(cache, "fetch_remote")
         # Forward passes are serialized: repro.nn models are not
-        # thread-safe, and a frozen model's layers share one scratch
-        # arena that assumes one forward pass in flight at a time.
+        # thread-safe, and a frozen model's plans share one scratch
+        # pool that assumes one forward pass in flight at a time.
         self._model_lock = threading.Lock()
         self._cond = threading.Condition(threading.Lock())
         self._pending: List[_PendingQuery] = []

@@ -303,7 +303,7 @@ def build_classifier(config: ServeConfig):
     """The model a config names: toy by default, registry otherwise.
 
     ``freeze`` and ``dtype`` select the inference fast path for network
-    models (gathered column builds, one scratch arena, optional float32
+    models (a planned step list over one scratch pool, optional float32
     compute).  They change per-query latency only -- never how many
     submissions a session is charged.  A frozen float64 model scores the
     eval path's bits; float32 scores (frozen ones fold their batch

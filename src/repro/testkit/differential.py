@@ -647,8 +647,8 @@ def network_runner(
     Besides the execution paths, this exercises the :mod:`repro.nn`
     forward stack behind
     :class:`~repro.classifier.blackbox.NetworkClassifier` -- with
-    ``frozen=True``, the inference fast path (gathered column builds in
-    one arena, skipped backward caches).  A frozen sweep must be
+    ``frozen=True``, the inference fast path (a planned step list over
+    one scratch pool, skipped backward caches).  A frozen sweep must be
     bit-identical across every cell, and at float64 each of its cells
     equals the same cell of the unfrozen sweep, trace included (CI
     compares them with :meth:`DifferentialRunner.run_cell`).

@@ -1,6 +1,6 @@
-"""The inference fast path: freeze()/unfreeze(), conv+BN folding,
-the gathered column build and its arena, and the batch-norm precision
-fixes that ride along.
+"""The inference fast path: freeze()/unfreeze(), conv+BN folding, the
+planned frozen forward and its pool, and the batch-norm precision fixes
+that ride along.
 
 Acceptance contract (mirrored by ``benchmarks/test_inference_fastpath.py``
 for throughput): the default unfrozen eval path stays bit-identical to
@@ -12,7 +12,9 @@ untouched.
 """
 
 import copy
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -26,12 +28,20 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     Dropout,
+    Flatten,
     GlobalAvgPool2d,
+    LeakyReLU,
     Linear,
     MaxPool2d,
+    Parameter,
     ReLU,
+    Residual,
     Sequential,
+    Sigmoid,
 )
+from repro.nn.layers.shape import Concat
+from repro.nn.module import Module
+from repro.nn.plan import MAX_PLANS
 from repro.testkit.differential import tiny_network_classifier
 
 
@@ -178,7 +188,7 @@ class TestFolding:
 
 
 class TestWorkspaceReuse:
-    """One grow-only arena serves every layer of a frozen model."""
+    """One grow-only pool serves every plan of a frozen model."""
 
     def test_repeated_same_shape_batches_are_deterministic(self, net, batch):
         net.freeze()
@@ -206,12 +216,13 @@ class TestWorkspaceReuse:
 
     def test_pickle_and_deepcopy_drop_the_arena(self, net, batch):
         net.freeze()
-        net(np.random.default_rng(16).random((64, 3, 8, 8)))  # grows the arena
-        assert net[0]._arena._buffers
+        net(np.random.default_rng(16).random((64, 3, 8, 8)))  # grows the pool
+        assert net._pool.nbytes > 0 and net._pool._plans
         for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
-            convs = [m for m in clone.modules() if isinstance(m, Conv2d)]
-            assert not convs[0]._arena._buffers
-            assert all(conv._arena is convs[0]._arena for conv in convs)
+            planned = [m for m in clone.modules() if m._lower is not None]
+            assert planned and all(m._pool is clone._pool for m in planned)
+            assert clone._pool is not net._pool
+            assert clone._pool.nbytes == 0 and not clone._pool._plans
             assert np.array_equal(clone(batch), net(batch))
 
     def test_maxpool_frozen_is_bit_exact(self):
@@ -320,6 +331,232 @@ class TestFrozenFloat64IsEval:
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_16x16(self, arch):
         self._check(arch, 16)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_non_square_between_growing_and_shrinking_batches(self, arch):
+        # 12x8 (rows x columns): every architecture's strides accept it
+        model = _warmed_model(arch, 8)
+        plain = copy.deepcopy(model)
+        model.freeze()
+        rng = np.random.default_rng(1)
+        for batch_size in (1, 3, 1, 9, 2, 1, 16, 1):
+            x = rng.random((batch_size, 3, 12, 8))
+            assert np.array_equal(model(x), plain(x)), (arch, batch_size)
+            assert np.array_equal(model(x[:1]), plain(x[:1])), (arch, batch_size)
+
+    @pytest.mark.parametrize(
+        "arch, pick",
+        [
+            ("vgg16bn", lambda model: model.features),
+            ("googlenet", lambda model: model.features),
+            ("googlenet", lambda model: _first(model, Concat)),
+            ("resnet18", lambda model: _first(model, Residual)),
+            ("resnet50", lambda model: _first(model, Residual)),
+            ("densenet121", lambda model: model.features),
+        ],
+        ids=["vgg-features", "googlenet-features", "inception", "basic-block",
+             "bottleneck", "densenet-features"],
+    )
+    def test_frozen_submodule_called_on_its_own(self, arch, pick):
+        model = _warmed_model(arch, 8)
+        plain = pick(copy.deepcopy(model))
+        part = pick(model)
+        model.freeze()
+        rng = np.random.default_rng(2)
+        x = rng.random((4, 3, 8, 8))
+        if not isinstance(part, Sequential):  # a block: feed it its input
+            stem = model.features[0]
+            x = stem(x)
+        for batch in (x, x[:1], x):
+            assert np.array_equal(part(batch), plain(batch))
+
+
+def _first(model, kind):
+    return next(m for m in model.modules() if isinstance(m, kind))
+
+
+class _Widen(Module):
+    """No plan rule: its input with its body's output appended."""
+
+    def __init__(self, body: Module):
+        super().__init__()
+        self.body = body
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([x, self.body(x)], axis=1)
+
+
+def _nested_net(seed: int = 23) -> Sequential:
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        Conv2d(3, 4, 3, padding=1, rng=rng),
+        BatchNorm2d(4),
+        ReLU(),
+        _Widen(Sequential(BatchNorm2d(4), ReLU(), Conv2d(4, 2, 3, padding=1, rng=rng))),
+        _Widen(BatchNorm2d(6)),
+        GlobalAvgPool2d(),
+        Linear(12, 5, rng=rng),
+    )
+
+
+class TestPlans:
+    """What the plan contract adds: modules without a rule run opaque,
+    and nothing that changes the weights leaves a stale plan behind."""
+
+    def test_modules_without_a_rule_run_opaque(self, batch):
+        rng = np.random.default_rng(17)
+        model = _warmed(Sequential(
+            Conv2d(3, 4, 3, padding=1, rng=rng),
+            BatchNorm2d(4),
+            LeakyReLU(0.1),
+            Dropout(0.5, seed=1),
+            Conv2d(4, 4, 3, stride=2, padding=1, rng=rng),
+            Sigmoid(),
+            Flatten(),
+            Linear(4 * 4 * 4, 5, rng=rng),
+            ReLU(),
+        ))
+        reference, scalar = model(batch), model(batch[:1])
+        model.freeze()
+        steps = [step.op for step in model.plan(batch).steps]
+        assert steps.count("forward") == 4  # LeakyReLU, Dropout, Sigmoid, Flatten
+        for _ in range(2):
+            assert np.array_equal(model(batch), reference)
+            assert np.array_equal(model(batch[:1]), scalar)
+
+    def test_inputs_the_planner_does_not_take_run_eval(self, net):
+        # a strided slice (memory with gaps) and a 3-D input run the
+        # module's own forward: eval's computation, so eval's bits
+        wide = np.random.default_rng(18).random((2, 3, 10, 12))
+        sliced = wide[:, :, 1:9, 2:10]
+        reference = net(sliced)
+        relu = ReLU()
+        cube = np.random.default_rng(19).normal(size=(2, 3, 4))
+        net.freeze()
+        relu.freeze()
+        assert np.array_equal(net(sliced), reference)
+        assert "not planned" in str(net.plan(sliced))
+        assert np.array_equal(relu(cube), np.maximum(cube, 0.0))
+
+    def test_unplanned_inputs_keep_the_float32_fold(self, net):
+        # the fallback's layer forwards use the folded weights, and the
+        # folded batch norms (still planned) pass their input through
+        wide = np.random.default_rng(22).random((2, 3, 10, 12)).astype(np.float32)
+        net.astype(np.float32)
+        frozen = copy.deepcopy(net).freeze()
+        assert frozen[0]._folded_weight is not None
+        for x in (wide[:, :, 1:9, 2:10], np.flip(wide, axis=3)):
+            reference = net(x)
+            scores = frozen(x)
+            assert "not planned" in str(frozen.plan(x))
+            assert np.allclose(scores, reference, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(scores.argmax(axis=1), reference.argmax(axis=1))
+
+    def test_a_planned_module_called_from_an_opaque_step_runs_one_level_down(
+        self, batch
+    ):
+        model = _warmed(_nested_net())
+        plain = copy.deepcopy(model)
+        model.freeze()
+        for x in (batch, batch[:1], batch):
+            assert np.array_equal(model(x), plain(x))
+        assert len(model._pool._arenas) == 2
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda model: model[0],
+            lambda model: model[1],
+            lambda model: model[3].body[0],
+            lambda model: model[4].body,
+        ],
+        ids=["conv", "batch-norm", "inside-an-opaque-step", "called-by-an-opaque-step"],
+    )
+    def test_an_unfrozen_part_runs_its_own_forward(self, batch, pick):
+        # the tree falls back to its modules' own forwards: the unfrozen
+        # part trains (running statistics, backward cache) on the call's
+        # input alone, and no probe forward runs it on anything else
+        model = _warmed(_nested_net())
+        plain = copy.deepcopy(model)
+        model.freeze()
+        model(batch)
+        pick(model).train()
+        pick(plain).train()
+        assert np.array_equal(model(batch), plain(batch))
+        assert pick(model)._cache is not None
+        state, expected = model.state_dict(), plain.state_dict()
+        assert all(np.array_equal(state[name], expected[name]) for name in expected)
+
+    @pytest.mark.parametrize("arch", ["vgg16bn", "densenet121"])
+    def test_a_dropped_model_frees_its_arenas_at_once(self, arch):
+        # nothing in a pool or a plan refers back to the model, so its
+        # arenas go with it, not whenever the cycle collector next runs
+        # (a benchmark that builds one model per setup round pinned one
+        # arena each)
+        model = build_model(arch, num_classes=10, seed=0).freeze()
+        model(np.random.default_rng(20).random((8, 3, 8, 8)))
+        arenas = [weakref.ref(arena) for arena in model.features._pool._arenas]
+        assert arenas
+        gc.disable()
+        try:
+            del model
+            assert all(arena() is None for arena in arenas)
+        finally:
+            gc.enable()
+
+    def test_plans_are_bounded_and_rebuilt_after_the_pool_grows(self, net):
+        rng = np.random.default_rng(21)
+        net.freeze()
+        one = rng.random((1, 3, 8, 8))
+        scalar = net.plan(one)
+        assert net.plan(one) is scalar
+        net(rng.random((16, 3, 8, 8)))  # grows the arena: plans are dropped
+        assert net.plan(one) is not scalar
+        net(rng.random((MAX_PLANS + 8, 3, 8, 8)))  # the arena's final size
+        for size in range(1, MAX_PLANS + 9):
+            net(rng.random((size, 3, 8, 8)))
+        (plans,) = [entry[1] for entry in net._pool._plans.values() if entry[0]() is net]
+        assert len(plans) == MAX_PLANS
+
+    def test_plan_names_every_step(self, net, batch):
+        net.freeze()
+        text = str(net.plan(batch))
+        for name in ("layer0", "layer1", "layer2", "layer3", "layer7", "layer8"):
+            assert name in text
+        assert "gather" in text and "gemm" in text and "relu" in text
+
+    def test_load_state_dict_leaves_no_stale_plan(self, net, batch):
+        head = Sequential(net)  # an outer module sharing net's pool
+        head.freeze()
+        stale = head(batch)
+        donor = _warmed(_conv_bn_net(seed=11), seed=12)
+        net.load_state_dict(donor.state_dict())  # re-freezes the inner model
+        assert np.array_equal(net(batch), donor(batch))
+        assert np.array_equal(head(batch), donor(batch))  # the outer replans
+        assert not np.array_equal(head(batch), stale)
+
+    def test_a_new_part_leaves_no_stale_plan(self, net, batch):
+        plain = copy.deepcopy(net)
+        net.freeze()
+        net(batch)
+        for model in (net, plain):
+            model.append(ReLU())  # unfrozen: the tree runs its forwards
+            model[4].weight = Parameter(model[4].weight.data * 0.5)
+        assert np.array_equal(net(batch), plain(batch))
+        net.freeze()
+        assert "not planned" not in str(net.plan(batch))
+        assert np.array_equal(net(batch), plain(batch))
+
+    def test_astype_leaves_no_stale_plan(self, net, batch):
+        reference = net(batch)
+        net.freeze()
+        net(batch)
+        net.astype(np.float32)
+        folded = net(batch.astype(np.float32))
+        assert folded.dtype == np.float32
+        assert np.allclose(folded, reference, rtol=1e-4, atol=1e-5)
+        net.astype(np.float64)  # the weights keep float32's rounding
+        assert np.array_equal(net(batch), copy.deepcopy(net).unfreeze()(batch))
 
 
 class TestBatchNormPrecision:
