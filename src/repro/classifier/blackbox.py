@@ -120,9 +120,9 @@ class NetworkClassifier:
     planned part of the model runs as one flat step list over a scratch
     pool the model owns (see :meth:`repro.nn.Module.freeze` and
     :mod:`repro.nn.plan`).  At float64 the scores are the unfrozen eval
-    path's bit for bit; below float64 the batch norms are also folded
-    into the preceding convolutions, and the scores stay
-    decision-identical and float-tolerance-close.  A frozen model
+    path's bit for bit; below float64 the plans also fold each batch
+    norm into the convolution whose output only it reads, and the scores
+    stay decision-identical and float-tolerance-close.  A frozen model
     serves one forward at a time.
     """
 

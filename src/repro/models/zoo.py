@@ -117,9 +117,10 @@ class TrainedModel:
         The copy matters for ``dtype``: casting the shared :attr:`model`
         in place (``numpy.float32`` is the fastest CPU serving
         configuration) would move :attr:`classifier` -- and every
-        experiment holding it -- off float64.  A float32 copy folds its
-        batch norms, so its scores are decision-identical to
-        :attr:`classifier`'s; a float64 copy's are bit-identical.
+        experiment holding it -- off float64.  A float32 copy's plans
+        fold its batch norms into their convolutions, so its scores are
+        decision-identical to :attr:`classifier`'s; a float64 copy's are
+        bit-identical.
         """
         return NetworkClassifier(
             copy.deepcopy(self.model), dtype=dtype, freeze=True

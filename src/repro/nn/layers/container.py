@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers.norm import BatchNorm2d
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 
 class Sequential(Module):
@@ -21,22 +20,6 @@ class Sequential(Module):
         self.register_module(f"layer{len(self.layers)}", layer)
         self.layers.append(layer)
         return self
-
-    def _freeze_hook(self) -> None:
-        # ahead-of-time conv+BN folding below float64: a batch norm
-        # directly following an affine layer (conv-BN[-ReLU] is the
-        # dominant block in every model here) folds its eval scale/shift
-        # into that layer's weights, so the frozen forward skips the
-        # normalization passes.  A fold reassociates the arithmetic, so
-        # float64 weights keep eval's multiply-add and eval's bits.
-        for previous, layer in zip(self.layers, self.layers[1:]):
-            weight = getattr(previous, "weight", None)
-            if (
-                isinstance(layer, BatchNorm2d)
-                and isinstance(weight, Parameter)
-                and weight.data.dtype != np.float64
-            ):
-                layer.fold_into(previous)
 
     def _lower(self, planner, x):
         for layer in self.layers:

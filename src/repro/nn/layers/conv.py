@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.nn import initializers
 from repro.nn.functional import col2im, im2col
-from repro.nn.layers.norm import frozen_weights
 from repro.nn.module import Module, Parameter
 
 
@@ -58,12 +57,6 @@ class Conv2d(Module):
         )
         self.bias = Parameter(initializers.zeros((out_channels,))) if bias else None
         self._cache = None
-        self._folded_weight = None  # BN folded in at freeze time, else None
-        self._folded_bias = None
-
-    def _unfreeze_hook(self) -> None:
-        self._folded_weight = None
-        self._folded_bias = None
 
     def _check_input(self, shape) -> None:
         if len(shape) != 4 or shape[1] != self.in_channels:
@@ -73,17 +66,17 @@ class Conv2d(Module):
 
     def _lower(self, planner, x):
         self._check_input(x.shape)
+        bias = self.bias.data if self.bias is not None else None
         return planner.conv(
-            self, x, *frozen_weights(self), self.kernel_size, self.stride, self.padding
+            self, x, self.weight.data, bias, self.kernel_size, self.stride, self.padding
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x.shape)
         cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        weight, bias = frozen_weights(self)  # a frozen fold, as the plan's
-        out = cols @ weight.reshape(self.out_channels, -1).T
-        if bias is not None:
-            out += bias
+        out = cols @ self.weight.data.reshape(self.out_channels, -1).T
+        if self.bias is not None:
+            out += self.bias.data
         n = x.shape[0]
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if not self.inference:

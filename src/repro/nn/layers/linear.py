@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import initializers
-from repro.nn.layers.norm import frozen_weights
 from repro.nn.module import Module, Parameter
 
 
@@ -30,12 +29,6 @@ class Linear(Module):
         )
         self.bias = Parameter(initializers.zeros((out_features,))) if bias else None
         self._cache = None
-        self._folded_weight = None  # BN folded in at freeze time, else None
-        self._folded_bias = None
-
-    def _unfreeze_hook(self) -> None:
-        self._folded_weight = None
-        self._folded_bias = None
 
     def _check_input(self, shape) -> None:
         if len(shape) != 2 or shape[1] != self.in_features:
@@ -45,16 +38,16 @@ class Linear(Module):
 
     def _lower(self, planner, x):
         self._check_input(x.shape)
-        return planner.linear(self, x, *frozen_weights(self))
+        bias = self.bias.data if self.bias is not None else None
+        return planner.linear(self, x, self.weight.data, bias)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x.shape)
         if not self.inference:
             self._cache = x
-        weight, bias = frozen_weights(self)  # a frozen fold, as the plan's
-        out = x @ weight.T
-        if bias is not None:
-            out += bias
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out += self.bias.data
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -8,15 +8,6 @@ from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
 
-def frozen_weights(layer):
-    """The ``(weight, bias)`` ``layer`` (a conv or linear layer) computes
-    with: those of a batch norm folded into it while frozen, else its
-    own (``bias`` is ``None`` when it has none)."""
-    if layer._folded_weight is not None:
-        return layer._folded_weight, layer._folded_bias
-    return layer.weight.data, layer.bias.data if layer.bias is not None else None
-
-
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, C, H, W) inputs.
 
@@ -26,6 +17,11 @@ class BatchNorm2d(Module):
     batch still normalizes by its own moments in training mode), which
     is a legitimate configuration for fine-tuning and exactly what the
     inference freeze path relies on.
+
+    Frozen, its plan rule hands the planner eval's float64 scale and
+    shift; below float64 the planner folds them into the convolution
+    whose output only this layer reads (:mod:`repro.nn.plan`).  Its
+    ``forward`` is eval's in every mode.
     """
 
     _buffer_names = ("running_mean", "running_var")
@@ -44,11 +40,8 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
         self._cache = None
-        self._folded = False
-        self._scale = None
-        self._shift = None
 
-    # -- eval-mode fold ----------------------------------------------------
+    # -- eval-mode transform -----------------------------------------------
 
     def _eval_scale_shift(self):
         """Eval normalization as one fused multiply-add, in float64.
@@ -68,55 +61,6 @@ class BatchNorm2d(Module):
         )
         return scale, shift, inv_std
 
-    def fold_into(self, preceding) -> bool:
-        """Fold this layer's eval transform into a preceding affine layer.
-
-        ``preceding`` must expose a ``weight`` :class:`Parameter` whose
-        leading axis is the output-channel axis this layer normalizes
-        (a :class:`~repro.nn.layers.conv.Conv2d` or
-        :class:`~repro.nn.layers.linear.Linear`), plus an optional
-        ``bias``.  The fold is computed in float64 from the *current*
-        parameters and stored in side buffers (``_folded_weight`` /
-        ``_folded_bias``) that the preceding layer's plan rule and
-        ``forward`` pick up (:func:`frozen_weights`) -- trainable
-        parameters are never touched, so unfreezing restores exact
-        training behaviour.  Afterwards this layer passes frozen inputs
-        through unchanged.
-
-        Returns ``False`` (and folds nothing) when ``preceding`` has no
-        compatible weight.
-        """
-        weight = getattr(preceding, "weight", None)
-        if not isinstance(weight, Parameter) or weight.data.ndim < 2:
-            return False
-        if weight.data.shape[0] != self.num_features:
-            return False
-        scale, shift, _ = self._eval_scale_shift()
-        folded = weight.data.astype(np.float64) * scale.reshape(
-            (-1,) + (1,) * (weight.data.ndim - 1)
-        )
-        bias = getattr(preceding, "bias", None)
-        if isinstance(bias, Parameter):
-            folded_bias = shift + scale * bias.data.astype(np.float64)
-        else:
-            folded_bias = shift
-        dtype = weight.data.dtype
-        preceding._folded_weight = folded.astype(dtype)
-        preceding._folded_bias = folded_bias.astype(dtype)
-        self._folded = True
-        return True
-
-    def _freeze_hook(self) -> None:
-        # precompute eval's fused transform once (the same float64 values
-        # eval derives per call); if a container folds this layer into
-        # its predecessor these go unused (the plan skips this layer)
-        self._scale, self._shift, _ = self._eval_scale_shift()
-
-    def _unfreeze_hook(self) -> None:
-        self._folded = False
-        self._scale = None
-        self._shift = None
-
     def _check_input(self, shape) -> None:
         if len(shape) != 4 or shape[1] != self.num_features:
             raise ValueError(
@@ -125,16 +69,13 @@ class BatchNorm2d(Module):
 
     def _lower(self, planner, x):
         self._check_input(x.shape)
-        if self._folded:
-            return x  # absorbed by the preceding conv/linear weights
-        return planner.affine(self, x, self._scale, self._shift)
+        scale, shift, _ = self._eval_scale_shift()
+        return planner.affine(self, x, scale, shift)
 
     # -- compute -----------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x.shape)
-        if self._folded:
-            return x  # absorbed by the preceding conv/linear weights
         if self.training:
             axes = (0, 2, 3)
             mean = x.mean(axis=axes)

@@ -74,6 +74,8 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
             self._replan()
+        elif name in getattr(self, "_buffer_names", ()):
+            self._replan()
         object.__setattr__(self, name, value)
 
     def register_module(self, name: str, module: "Module") -> None:
@@ -87,9 +89,9 @@ class Module:
         self._replan()
 
     def _replan(self) -> None:
-        # a frozen tree's plans hold its parameters and children as they
-        # were: a new one drops them (an unfrozen child then runs its
-        # own forward)
+        # a frozen tree's plans hold its parameters, buffers and children
+        # as they were: a new one drops them (an unfrozen child then runs
+        # its own forward)
         if self._pool is not None:
             self._pool.clear()
 
@@ -150,29 +152,30 @@ class Module:
           over views of one grow-only pool that this call creates for
           the whole model -- channels-last activations, one gather and
           one GEMM per convolution, batch norms and ReLUs written in
-          place into the next layer's zero-bordered input;
-        - batch norm precomputes eval's scale and shift, and, for
-          weights that are not float64, folds them ahead of time into a
-          directly preceding convolution or linear layer (see
-          :meth:`~repro.nn.layers.norm.BatchNorm2d.fold_into`).
+          place into the next layer's zero-bordered input.  Below
+          float64 the plan also folds each batch norm into the
+          convolution whose output only it reads.
 
         A frozen float64 model computes eval's scores bit for bit; a
-        folded one (float32) is decision-identical to eval.  Trainable
-        parameters are never mutated: folded weights live in side
-        buffers, so :meth:`unfreeze` (or :meth:`train`, which unfreezes
-        implicitly) restores exact training behaviour.  Idempotent;
-        re-freezing recomputes the folds from the current parameters
-        and drops every plan.  ``backward`` is unavailable while frozen,
-        and the shared pool makes a frozen model one-forward-at-a-time.
-        A frozen module's ``forward`` stays eval's computation with the
-        folds, without backward caches; only calling it runs the plan.
-        Inputs the plan does not take (memory with gaps, other ranks)
-        and a tree with a part unfrozen since run ``forward`` instead.
-        Assigning a parameter or a child module drops the plans; an
+        folded one (float32) is decision-identical to eval.  Freezing
+        keeps no per-layer state: the fold lives in the plan, parameters
+        are never mutated, and :meth:`unfreeze` (or :meth:`train`, which
+        unfreezes implicitly) restores exact training behaviour.
+        Idempotent; re-freezing drops every plan.  ``backward`` is
+        unavailable while frozen, and the shared pool makes a frozen
+        model one-forward-at-a-time.  A frozen module's ``forward`` is
+        eval's computation without backward caches; only calling it
+        runs the plan.  Inputs the plan does not take (memory with gaps,
+        other ranks), a tree with a part unfrozen since and a tree with
+        a planned module under one without a rule run ``forward``
+        instead, whose planned children run their own plans (a
+        convolution and a batch norm split between two plans are not
+        folded).  Assigning a parameter, a buffer (a batch
+        norm's running statistic) or a child module drops the plans; an
         array swapped into ``param.data`` needs a re-freeze
         (:meth:`load_state_dict` and :meth:`astype` re-freeze).
         """
-        self.unfreeze()  # drop an earlier freeze's folds and plans
+        self.unfreeze()  # drop an earlier freeze's plans
         self.eval()
         pool = PlanPool()
         for module in self.modules():
@@ -182,8 +185,6 @@ class Module:
                     setattr(module, name, None)
             if module._lower is not None:
                 module._pool = pool
-        for module in self.modules():
-            module._freeze_hook()
         return self
 
     def unfreeze(self) -> "Module":
@@ -196,9 +197,7 @@ class Module:
             if module._pool is not None:
                 module._pool.clear()
                 module._pool = None
-            if module.inference:
-                module.inference = False
-                module._unfreeze_hook()
+            module.inference = False
         return self
 
     @property
@@ -214,12 +213,6 @@ class Module:
             )
         return self._pool.plan(self, x)
 
-    def _freeze_hook(self) -> None:
-        """Per-layer freeze-time preparation (folds, eval's constants)."""
-
-    def _unfreeze_hook(self) -> None:
-        """Discard per-layer frozen state."""
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -234,7 +227,7 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self._pool is not None:
-            return self._pool.run(self, x)
+            return self._pool.plan(self, x)(x)
         return self.forward(x)
 
     # -- state dict --------------------------------------------------------
@@ -264,7 +257,7 @@ class Module:
             param.data = value
         self._load_buffers(state, prefix="")
         if self.inference:
-            self.freeze()  # refresh folded weights from the new state
+            self.freeze()  # drop plans built from the old arrays
 
     def _load_buffers(self, state: Dict[str, np.ndarray], prefix: str) -> None:
         for name in getattr(self, "_buffer_names", ()):
@@ -290,7 +283,7 @@ class Module:
                     module, name, getattr(module, name).astype(dtype)
                 )
         if self.inference:
-            self.freeze()  # recompute folded weights in the new dtype
+            self.freeze()  # drop plans built from the old arrays
         return self
 
     def num_parameters(self) -> int:

@@ -20,6 +20,12 @@ eval's bits.
   maxima of strided views; a concatenation's branches write into their
   own channel slices of one output; a residual adds its two inputs into
   its output.
+- **The fold.**  Below float64, a batch norm that alone reads a
+  convolution's output is folded into that convolution's weight and
+  bias (float64 products, cast back), so the plan has no ``scale`` or
+  ``shift`` step for it.  The fold reassociates the arithmetic, so a
+  float64 plan never folds.  It lives only in the plan: no layer keeps
+  frozen state.
 - **Reductions.**  numpy reduces in memory order, so every value carries
   the memory order eval's array would have (``perm``), and a global
   average pool reads its input in that order: contiguous NCHW after a
@@ -28,18 +34,20 @@ eval's bits.
   stored order differs, the plan copies first.
 - **Opaque steps.**  A module without a rule runs as one step: its own
   ``forward`` on an NCHW view in eval's memory order, its output copied
-  into the plan.  A planned submodule that such a ``forward`` calls runs
-  its own plan one nesting level down, in that level's arena.  An input
-  with gaps or of another rank, and a tree with an unfrozen part, run
-  the module's own ``forward`` (which keeps the frozen folds) instead.
+  into the plan.  If its subtree holds a module with a rule, its
+  ``forward`` would run a plan inside this one, over the same arena, so
+  the tree is not planned.  Such a tree, an input with gaps or of
+  another rank, and a tree with an unfrozen part run the module's own
+  ``forward`` instead: eval's computation, whose planned children run
+  their own plans one at a time (a convolution and a batch norm that
+  end up in different plans are not folded).
 - **Memory.**  Buffers are shared by liveness: each is placed in the
-  arena of its nesting level at the lowest offset no buffer alive at the
-  same step holds, so a plan needs about its busiest step's bytes.  A
-  plan holds only views into the arena; growing an arena drops the
-  plans that view it.  Nothing in a pool or a plan refers back to the
-  model (weak references only), so a dropped model frees its arenas at
-  once.  The pool is never pickled or deep-copied, and a frozen model is
-  one-forward-at-a-time.
+  arena at the lowest offset no buffer alive at the same step holds, so
+  a plan needs about its busiest step's bytes.  A plan holds only views
+  into the arena; growing the arena drops every plan.  Nothing in a pool
+  or a plan refers back to the model (weak references only), so a
+  dropped model frees its arena at once.  The pool is never pickled or
+  deep-copied, and a frozen model is one-forward-at-a-time.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ NHWC = (0, 2, 3, 1)
 ROWS = (0, 1)
 #: Byte alignment of every buffer in an arena.
 ALIGN = 64
-#: Plans kept per module and nesting level (one per input shape).
+#: Plans kept per module (one per input shape).
 MAX_PLANS = 32
 
 
@@ -250,73 +258,52 @@ class Plan:
 
 
 class PlanPool:
-    """One frozen model's arenas and plans.
+    """One frozen model's arena and plans.
 
-    Arena ``d`` holds the buffers of plans that run at nesting level
-    ``d`` (a planned module called from an opaque step runs one level
-    down, so it never overwrites the plan that called it).  Arenas only
-    grow; a growing arena drops the plans viewing it, and they are
-    rebuilt on their next call.  :meth:`clear` drops everything.  A
+    The arena only grows; growing it drops every plan, and each is
+    rebuilt on its next call.  :meth:`clear` drops everything.  A
     pickled or deep-copied pool comes back empty.
     """
 
-    __slots__ = ("_arenas", "_plans", "_depth")
+    __slots__ = ("_arena", "_plans")
 
     def __init__(self):
-        self._arenas: List[np.ndarray] = []
-        # (id(module), level) -> (weak ref to the module, {input key: plan});
-        # weak, so a dropped model frees its pool and arenas at once
-        self._plans: Dict[Tuple[int, int], Tuple[weakref.ref, Dict]] = {}
-        self._depth = 0
+        self._arena = np.empty(0, dtype=np.uint8)
+        # id(module) -> (weak ref to the module, {input key: plan});
+        # weak, so a dropped model frees its pool and arena at once
+        self._plans: Dict[int, Tuple[weakref.ref, Dict]] = {}
 
     @property
     def nbytes(self) -> int:
-        """Bytes the arenas hold."""
-        return sum(arena.nbytes for arena in self._arenas)
+        """Bytes the arena holds."""
+        return self._arena.nbytes
 
     def clear(self) -> None:
-        self._arenas = []
+        self._arena = np.empty(0, dtype=np.uint8)
         self._plans = {}
-
-    def run(self, module, x: np.ndarray) -> np.ndarray:
-        """``module``'s frozen forward of ``x`` through its plan."""
-        depth = self._depth
-        plan = self._lookup(module, x, depth)
-        self._depth = depth + 1
-        try:
-            return plan(x)
-        finally:
-            self._depth = depth
 
     def plan(self, module, x: np.ndarray):
         """The plan ``module`` runs for inputs shaped like ``x``."""
-        return self._lookup(module, x, self._depth)
-
-    def _lookup(self, module, x, depth):
         key = (x.shape, x.strides, x.dtype)
-        entry = self._plans.get((id(module), depth))
+        entry = self._plans.get(id(module))
         if entry is not None and entry[0]() is module:
             plan = entry[1].get(key)
             if plan is not None:
                 return plan
-        plan = Planner(self, module, depth).build(x)
-        entry = self._plans.get((id(module), depth))
+        plan = Planner(self, module).build(x)
+        entry = self._plans.get(id(module))
         if entry is None or entry[0]() is not module:
-            entry = self._plans[(id(module), depth)] = (weakref.ref(module), {})
+            entry = self._plans[id(module)] = (weakref.ref(module), {})
         if len(entry[1]) >= MAX_PLANS:
             del entry[1][next(iter(entry[1]))]
         entry[1][key] = plan
         return plan
 
-    def _arena(self, depth: int, nbytes: int) -> np.ndarray:
-        while len(self._arenas) <= depth:
-            self._arenas.append(np.empty(0, dtype=np.uint8))
-        if self._arenas[depth].nbytes < nbytes:
-            self._arenas[depth] = np.empty(nbytes, dtype=np.uint8)
-            self._plans = {
-                key: entry for key, entry in self._plans.items() if key[1] != depth
-            }
-        return self._arenas[depth]
+    def _grow(self, nbytes: int) -> np.ndarray:
+        if self._arena.nbytes < nbytes:
+            self._arena = np.empty(nbytes, dtype=np.uint8)
+            self._plans = {}
+        return self._arena
 
     def __reduce__(self):
         return (PlanPool, ())
@@ -343,13 +330,14 @@ class Planner:
     Layer rules (each planned class's ``_lower(planner, x)``) call the
     graph methods below (``conv``, ``affine``, ``relu``, ``maxpool``,
     ``avgpool``, ``global_avgpool``, ``linear``, ``concat``, ``add``) or
-    :meth:`lower` for a child.  :meth:`build` then fuses elementwise
-    nodes into their producers, places every value, emits the steps,
-    packs the buffers by liveness into the arena and binds the views.
+    :meth:`lower` for a child.  :meth:`build` then folds and fuses
+    elementwise nodes into their producers, places every value, emits
+    the steps, packs the buffers by liveness into the arena and binds
+    the views.
     """
 
-    def __init__(self, pool: PlanPool, root, depth: int):
-        self.pool, self.root, self.depth = pool, root, depth
+    def __init__(self, pool: PlanPool, root):
+        self.pool, self.root = pool, root
         self.nodes: List[_Node] = []
         self.values: List[_Value] = []
         # kept here, not on the values, so the graph has no cycles and
@@ -454,14 +442,12 @@ class Planner:
         return self._node("add", module, [a, b], a.shape, dtype, _dense_perm(total))
 
     def _opaque(self, module, x) -> _Value:
-        if len(x.shape) not in (2, 4):
+        # a planned module under it would run its plan inside this one,
+        # over the same arena
+        if len(x.shape) not in (2, 4) or any(m._lower is not None for m in module.modules()):
             raise _Unplannable
         probe = np.zeros([x.shape[axis] for axis in x.perm], x.dtype)
-        self.pool._depth = self.depth + 1  # as it will run: one level down
-        try:
-            out = module.forward(probe.transpose(_inverse(x.perm)))
-        finally:
-            self.pool._depth = self.depth
+        out = module.forward(probe.transpose(_inverse(x.perm)))
         if not isinstance(out, np.ndarray) or out.ndim not in (2, 4):
             raise _Unplannable
         perm = _dense_perm(out) or tuple(range(out.ndim))
@@ -472,8 +458,8 @@ class Planner:
     def build(self, x: np.ndarray) -> Plan:
         perm = _dense_perm(x) if x.ndim in (2, 4) else None
         # a part unfrozen since (``layer.train()``) runs its own forward:
-        # its rule would read frozen state it no longer has, and probing
-        # it as an opaque step would run a training forward
+        # lowering it would skip its training forward and backward cache,
+        # and probing it as an opaque step would train it on the probe
         if perm is None or not all(module.inference for module in self.root.modules()):
             return _Fallback(self.root)
         entry = _Node("input", None, [], {})
@@ -500,7 +486,7 @@ class Planner:
         result.buffer.use(len(self._steps) + 1)
         buffers[result.buffer] = None
         nbytes = _pack(list(buffers))
-        arena = self.pool._arena(self.depth, nbytes)
+        arena = self.pool._grow(nbytes)
         for buffer in buffers:
             end = buffer.offset + buffer.nbytes
             buffer.array = arena[buffer.offset : end].view(buffer.dtype).reshape(buffer.shape)
@@ -513,21 +499,42 @@ class Planner:
         )
 
     def _fuse(self) -> None:
-        """Make each batch norm and ReLU an epilogue of the step before
-        it, unless another consumer still reads that step's output."""
+        """Fold each batch norm below float64 into the convolution whose
+        output only it reads, and make every other batch norm and ReLU an
+        epilogue of the step before it, unless another consumer still
+        reads that step's output."""
         kept = []
         for node in self.nodes:
             if node.op in ("affine", "relu"):
                 (source,) = node.inputs
                 if len(self._consumers[source]) == 1 and not source.output:
                     owner = self._producer[source]
-                    owner.epilogue.append(node)
+                    if not self._fold(owner, node):
+                        owner.epilogue.append(node)
                     owner.output = node.output
                     self._producer[node.output] = owner
                     self.values.remove(source)
                     continue
             kept.append(node)
         self.nodes = kept
+
+    @staticmethod
+    def _fold(owner: _Node, node: _Node) -> bool:
+        """Fold batch norm ``node`` into ``owner``'s weight and bias, if
+        ``owner`` is a convolution with no epilogue yet and a weight that
+        is not float64 (a fold reassociates eval's arithmetic)."""
+        p = owner.params
+        if node.op != "affine" or owner.op != "conv" or owner.epilogue:
+            return False
+        weight, bias = p["weight"], p["bias"]
+        if weight.dtype == np.float64:
+            return False
+        scale, shift = node.params["scale"], node.params["shift"]
+        p["weight"] = (weight.astype(np.float64) * scale[:, None, None, None]).astype(weight.dtype)
+        if bias is not None:
+            shift = shift + scale * bias.astype(np.float64)
+        p["bias"] = shift.astype(weight.dtype)
+        return True
 
     def _place(self) -> None:
         """Decide where each value lives, consumers first."""
@@ -833,14 +840,16 @@ def _run_opaque(module: weakref.ref, x: np.ndarray, out: np.ndarray) -> None:
 
 
 class _Unplannable(Exception):
-    """The module tree has a value the plan cannot hold (not 2-D/4-D)."""
+    """The module tree has a value the plan cannot hold (not 2-D/4-D),
+    or an opaque module with a planned module under it."""
 
 
 class _Fallback:
     """The plan of an input the planner does not take (an array with
-    gaps, or a value that is not 2-D or 4-D) or of a module tree with an
-    unfrozen part: the module's own forward, eval's computation with the
-    frozen folds."""
+    gaps, or a value that is not 2-D or 4-D), of a module tree with an
+    unfrozen part, or of one with a planned module under an opaque one:
+    the module's own forward, eval's computation, whose planned children
+    run their own plans."""
 
     __slots__ = ("module", "steps", "nbytes")
 

@@ -306,10 +306,11 @@ def build_classifier(config: ServeConfig):
     models (a planned step list over one scratch pool, optional float32
     compute).  They change per-query latency only -- never how many
     submissions a session is charged.  A frozen float64 model scores the
-    eval path's bits; float32 scores (frozen ones fold their batch
-    norms) are merely float-tolerance-close to them, so leave ``dtype``
-    off when serving runs pinned by bit-exact differential tests.  The
-    toy classifier has no network to freeze; both knobs are no-ops.
+    eval path's bits; float32 scores (a frozen model's plans fold its
+    batch norms) are merely float-tolerance-close to them, so leave
+    ``dtype`` off when serving runs pinned by bit-exact differential
+    tests.  The toy classifier has no network to freeze; both knobs are
+    no-ops.
     """
     shape = (config.height, config.width, 3)
     if config.model == "toy":

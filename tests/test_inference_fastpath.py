@@ -1,14 +1,14 @@
-"""The inference fast path: freeze()/unfreeze(), conv+BN folding, the
-planned frozen forward and its pool, and the batch-norm precision fixes
-that ride along.
+"""The inference fast path: freeze()/unfreeze(), the planned frozen
+forward, its conv+BN fold and its pool, and the batch-norm precision
+fixes that ride along.
 
 Acceptance contract (mirrored by ``benchmarks/test_inference_fastpath.py``
 for throughput): the default unfrozen eval path stays bit-identical to
 the seed implementation; a frozen float64 model scores eval's bits,
-scalar and batched; a frozen float32 model folds its batch norms and is
-decision-identical with scores allclose at float32 tolerance; and
-``unfreeze()`` restores the eval path with trainable parameters
-untouched.
+scalar and batched; a frozen float32 model's plan folds its batch norms
+into their convolutions and is decision-identical with scores allclose
+at float32 tolerance; and ``unfreeze()`` restores the eval path with
+trainable parameters untouched.
 """
 
 import copy
@@ -41,7 +41,7 @@ from repro.nn import (
 )
 from repro.nn.layers.shape import Concat
 from repro.nn.module import Module
-from repro.nn.plan import MAX_PLANS
+from repro.nn.plan import MAX_PLANS, Plan
 from repro.testkit.differential import tiny_network_classifier
 
 
@@ -68,6 +68,18 @@ def _warmed(model: Sequential, seed: int = 4) -> Sequential:
         model(rng.normal(0.45, 0.25, size=(8, 3, 8, 8)))
     model.eval()
     return model
+
+
+def _norm_steps(plan) -> set:
+    """``(module, op)`` of every scale and shift step of ``plan``: a
+    folded batch norm contributes none, an unfolded one both."""
+    return {
+        (step.module, step.op) for step in plan.steps if step.op in ("scale", "shift")
+    }
+
+
+def _both_steps(*names) -> set:
+    return {(name, op) for name in names for op in ("scale", "shift")}
 
 
 @pytest.fixture
@@ -122,45 +134,113 @@ class TestFolding:
     def test_conv_bn_actually_folds(self, net, batch):
         reference = net(batch)
         net.astype(np.float32).freeze()
-        convs = [m for m in net.modules() if isinstance(m, Conv2d)]
-        bns = [m for m in net.modules() if isinstance(m, BatchNorm2d)]
-        assert all(conv._folded_weight is not None for conv in convs)
-        assert all(bn._folded for bn in bns)
-        folded = net(batch.astype(np.float32))
+        x = batch.astype(np.float32)
+        assert _norm_steps(net.plan(x)) == set()
+        folded = net(x)
         assert np.array_equal(folded.argmax(axis=1), reference.argmax(axis=1))
         assert np.allclose(folded, reference, rtol=1e-4, atol=1e-5)
 
-    def test_float64_folds_nothing(self, net):
+    def test_float64_folds_nothing(self, net, batch):
         net.freeze()
-        assert not any(
-            getattr(module, "_folded_weight", None) is not None
-            for module in net.modules()
-        )
-        assert not any(
-            bn._folded for bn in net.modules() if isinstance(bn, BatchNorm2d)
-        )
+        assert _norm_steps(net.plan(batch)) == _both_steps("layer1", "layer5")
 
     def test_refreezing_at_float64_drops_float32_folds(self, net, batch):
         net.astype(np.float32).freeze()
         net.astype(np.float64)  # re-freezes at float64
         assert net.frozen
-        assert not any(
-            bn._folded for bn in net.modules() if isinstance(bn, BatchNorm2d)
-        )
+        assert _norm_steps(net.plan(batch)) == _both_steps("layer1", "layer5")
         reference = copy.deepcopy(net).unfreeze()(batch)
         assert np.array_equal(net(batch), reference)
 
     def test_bn_without_affine_predecessor_still_matches(self, batch):
-        # a BN that follows a pool cannot fold; its frozen forward must
-        # fall back to the precomputed fused multiply-add
+        # a BN that follows a pool cannot fold; its plan keeps eval's
+        # float64 multiply-add
         model = _warmed(
             Sequential(MaxPool2d(2), BatchNorm2d(3), GlobalAvgPool2d())
         )
         reference = model(batch)
+        fast = copy.deepcopy(model).astype(np.float32).freeze()
+        assert _norm_steps(fast.plan(batch.astype(np.float32))) == _both_steps("layer1")
         model.freeze()
-        bn = model[1]
-        assert not bn._folded
         assert np.array_equal(model(batch), reference)
+
+    def test_the_fold_is_the_float64_product_cast_back(self, batch):
+        # a frozen float32 conv-BN-ReLU scores exactly a conv whose weight
+        # is (w * scale) and whose bias is (shift + scale * b), each
+        # computed in float64 and cast to float32: serve_cnn's scores
+        rng = np.random.default_rng(24)
+        model = _warmed(Sequential(
+            Conv2d(3, 6, 3, padding=1, rng=rng), BatchNorm2d(6), ReLU()
+        ))
+        model.astype(np.float32)
+        conv, bn = model[0], model[1]
+        bn.beta.data = rng.normal(0.0, 0.5, size=6).astype(np.float32)
+        conv.bias.data = rng.normal(0.0, 0.5, size=6).astype(np.float32)
+        inv_std = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+        scale = bn.gamma.data.astype(np.float64) * inv_std
+        shift = bn.beta.data.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
+        hand = copy.deepcopy(conv)
+        hand.weight.data = (
+            conv.weight.data.astype(np.float64) * scale[:, None, None, None]
+        ).astype(np.float32)
+        hand.bias.data = (shift + scale * conv.bias.data.astype(np.float64)).astype(np.float32)
+        x = batch.astype(np.float32)
+        expected = np.maximum(hand(x), 0.0)
+        model.freeze()
+        assert _norm_steps(model.plan(x)) == set()
+        for rows in (x, x[:1]):
+            assert np.array_equal(model(rows), expected[: len(rows)])
+
+    @pytest.mark.parametrize(
+        "build, norm",
+        [
+            (lambda rng: Sequential(
+                Conv2d(3, 4, 3, padding=1, rng=rng), ReLU(), BatchNorm2d(4),
+                GlobalAvgPool2d(), Linear(4, 3, rng=rng),
+            ), "layer2"),
+            (lambda rng: Sequential(
+                Conv2d(3, 4, 3, padding=1, rng=rng), MaxPool2d(2), BatchNorm2d(4),
+                GlobalAvgPool2d(), Linear(4, 3, rng=rng),
+            ), "layer2"),
+            # folding this batch norm would normalize the skip too
+            (lambda rng: Sequential(
+                Conv2d(3, 4, 3, padding=1, rng=rng),
+                Residual(Sequential(
+                    BatchNorm2d(4), ReLU(), Conv2d(4, 4, 3, padding=1, rng=rng)
+                )),
+                GlobalAvgPool2d(), Linear(4, 3, rng=rng),
+            ), "layer1.body.layer0"),
+        ],
+        ids=["after-a-relu", "after-a-max-pool", "pre-activation-residual"],
+    )
+    def test_float32_batch_norms_the_plan_cannot_fold_keep_their_steps(
+        self, batch, build, norm
+    ):
+        model = _warmed(build(np.random.default_rng(25))).astype(np.float32)
+        x = batch.astype(np.float32)
+        reference = model(x)
+        model.freeze()
+        assert _norm_steps(model.plan(x)) == _both_steps(norm)
+        scores = model(x)
+        assert np.allclose(scores, reference, rtol=1e-4, atol=1e-5)
+        assert np.array_equal(scores.argmax(axis=1), reference.argmax(axis=1))
+
+    def test_unfreezing_a_folded_batch_norm_normalizes_once(self, batch):
+        # the batch norm leaves the plan's fold: its tree runs its
+        # modules' own forwards, the conv unfolded, the batch norm eval's
+        rng = np.random.default_rng(26)
+        model = _warmed(Sequential(
+            Conv2d(3, 6, 3, padding=1, rng=rng), BatchNorm2d(6), ReLU()
+        )).astype(np.float32)
+        x = batch.astype(np.float32)
+        reference = copy.deepcopy(model)(x)
+        model.freeze()
+        model(x)
+        model[1].unfreeze()
+        scores = model(x).reshape(len(x), -1)
+        reference = reference.reshape(len(x), -1)
+        assert np.allclose(scores, reference, rtol=1e-4, atol=1e-5)
+        assert np.array_equal(scores.argmax(axis=1), reference.argmax(axis=1))
 
     def test_unfreeze_round_trip_is_bit_exact(self, net, batch):
         before_state = {k: v.copy() for k, v in net.state_dict().items()}
@@ -438,13 +518,13 @@ class TestPlans:
         assert "not planned" in str(net.plan(sliced))
         assert np.array_equal(relu(cube), np.maximum(cube, 0.0))
 
-    def test_unplanned_inputs_keep_the_float32_fold(self, net):
-        # the fallback's layer forwards use the folded weights, and the
-        # folded batch norms (still planned) pass their input through
+    def test_unplanned_float32_inputs_run_eval_unfolded(self, net):
+        # the fold lives in the plan: a gapped input runs the tree's own
+        # forward, each layer through its own plan, so nothing is folded
         wide = np.random.default_rng(22).random((2, 3, 10, 12)).astype(np.float32)
         net.astype(np.float32)
         frozen = copy.deepcopy(net).freeze()
-        assert frozen[0]._folded_weight is not None
+        assert _norm_steps(frozen.plan(wide[:, :, 1:9, 2:10].copy())) == set()
         for x in (wide[:, :, 1:9, 2:10], np.flip(wide, axis=3)):
             reference = net(x)
             scores = frozen(x)
@@ -452,15 +532,18 @@ class TestPlans:
             assert np.allclose(scores, reference, rtol=1e-4, atol=1e-5)
             assert np.array_equal(scores.argmax(axis=1), reference.argmax(axis=1))
 
-    def test_a_planned_module_called_from_an_opaque_step_runs_one_level_down(
+    def test_a_planned_module_called_from_an_opaque_step_runs_its_own_plan(
         self, batch
     ):
+        # a plan never runs inside a plan: a module without a rule over
+        # planned children makes its tree run its modules' own forwards
         model = _warmed(_nested_net())
         plain = copy.deepcopy(model)
         model.freeze()
         for x in (batch, batch[:1], batch):
             assert np.array_equal(model(x), plain(x))
-        assert len(model._pool._arenas) == 2
+        assert "not planned" in str(model.plan(batch))
+        assert "not planned" not in str(model[3].body.plan(np.zeros((1, 4, 8, 8))))
 
     @pytest.mark.parametrize(
         "pick",
@@ -490,19 +573,32 @@ class TestPlans:
     @pytest.mark.parametrize("arch", ["vgg16bn", "densenet121"])
     def test_a_dropped_model_frees_its_arenas_at_once(self, arch):
         # nothing in a pool or a plan refers back to the model, so its
-        # arenas go with it, not whenever the cycle collector next runs
+        # arena goes with it, not whenever the cycle collector next runs
         # (a benchmark that builds one model per setup round pinned one
         # arena each)
         model = build_model(arch, num_classes=10, seed=0).freeze()
         model(np.random.default_rng(20).random((8, 3, 8, 8)))
-        arenas = [weakref.ref(arena) for arena in model.features._pool._arenas]
-        assert arenas
+        assert model.head._pool is model.features._pool
+        arena = weakref.ref(model.features._pool._arena)
+        assert arena().nbytes > 0
         gc.disable()
         try:
             del model
-            assert all(arena() is None for arena in arenas)
+            assert arena() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_every_zoo_model_plans_flat(self, arch, dtype):
+        # an opaque module over a planned one makes its tree fall back:
+        # no zoo model may ever take that path silently
+        model = build_model(arch, num_classes=10, seed=0).astype(dtype).freeze()
+        x = np.random.default_rng(27).random((2, 3, 8, 8)).astype(dtype)
+        for part, inputs in ((model.features, x), (model.head, model.features(x))):
+            plan = part.plan(inputs)
+            assert isinstance(plan, Plan), (arch, str(plan))
+            assert not any(step.op == "forward" for step in plan.steps), arch
 
     def test_plans_are_bounded_and_rebuilt_after_the_pool_grows(self, net):
         rng = np.random.default_rng(21)
@@ -546,6 +642,18 @@ class TestPlans:
         net.freeze()
         assert "not planned" not in str(net.plan(batch))
         assert np.array_equal(net(batch), plain(batch))
+
+    def test_new_running_statistics_leave_no_stale_plan(self, net, batch):
+        # a plan holds the batch norms' eval scale and shift: assigning a
+        # running statistic drops it, at every cached input shape alike
+        plain = copy.deepcopy(net)
+        net.freeze()
+        net(batch)
+        net(batch[:1])
+        for model in (net, plain):
+            model[1].running_mean = model[1].running_mean + 0.5
+        for x in (batch[:1], batch[:2], batch):
+            assert np.array_equal(net(x), plain(x))
 
     def test_astype_leaves_no_stale_plan(self, net, batch):
         reference = net(batch)
