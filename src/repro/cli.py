@@ -394,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=0,
         help="LRU query-cache entries per worker (0 = no cache); caching "
-        "sits inside the counting boundary so query counts stay faithful",
+        "sits inside the counting boundary so query counts stay faithful, "
+        "on top of the zoo classifier's own cache of scalar answers",
     )
     attack.add_argument(
         "--freeze",

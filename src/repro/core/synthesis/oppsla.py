@@ -76,11 +76,13 @@ class SynthesisResult:
     ``forwards`` is the number of forward passes this run executed,
     beside :attr:`total_queries` (the counted queries, which cache hits
     are too); ``cache_hit_rate`` is the share of the images the run
-    scored that its :class:`~repro.core.synthesis.score.TrainingSet`
-    answered from its cache.  Both cover only the iterations run by this
-    call (a resumed chain restores its queries, not its forwards) and
-    are ``None`` when an executor scored the candidates in worker
-    processes.
+    scored that a cache answered without a forward: its
+    :class:`~repro.core.synthesis.score.TrainingSet`'s, or the
+    classifier's own (a zoo classifier's keeps what earlier runs
+    scored, so a repeated run can report 0 forwards).  Both cover only
+    the iterations run by this call (a resumed chain restores its
+    queries, not its forwards) and are ``None`` when an executor scored
+    the candidates in worker processes.
     """
 
     final_program: Program

@@ -110,7 +110,8 @@ class TrainingSet:
       forward pass goes away.  Every image synthesis scores is a
       training image or one of its ``8 * d1 * d2`` perturbations, so
       the cache is sized to hold them all and never evicts: the
-      classifier sees each distinct image once per set;
+      classifier sees each distinct image once per set, which a zoo
+      classifier's own bounded cache cannot promise (DESIGN §17);
     - each pair's clean scores, which the sketch would otherwise ask for
       (uncounted) on every evaluation;
     - each pair's initial :class:`~repro.core.pairqueue.PairQueue`, of
@@ -164,16 +165,27 @@ class TrainingSet:
         return hasher.hexdigest()
 
     def usage(self) -> Tuple[int, int]:
-        """``(cache hits, cache misses)`` so far; a miss is a forward."""
-        return self.cache.hits, self.cache.misses
+        """``(images scored, forwards run)`` so far.
+
+        A miss of the set's cache goes to the classifier.  One with an
+        exact cache of its own (``classifier.cache``, as the zoo's
+        classifier has) runs a forward only when that cache misses too,
+        so its misses count the forwards; for any other classifier each
+        miss here is one.
+        """
+        own = getattr(self.classifier, "cache", None)
+        forwards = self.cache.misses if own is None else own.misses
+        return self.cache.hits + self.cache.misses, forwards
 
     def usage_since(self, before: Tuple[int, int]) -> Tuple[int, float]:
         """``(forwards, cache hit rate)`` since :meth:`usage` read
-        ``before``: one run's share of a set that runs may share."""
-        hits = self.cache.hits - before[0]
-        misses = self.cache.misses - before[1]
-        lookups = hits + misses
-        return misses, hits / lookups if lookups else 0.0
+        ``before``: one run's share of a set that runs may share.  The
+        hit rate is the share of the images scored that a cache, the
+        set's or the classifier's, answered without a forward."""
+        lookups, forwards = self.usage()
+        lookups -= before[0]
+        forwards -= before[1]
+        return forwards, 1.0 - forwards / lookups if lookups else 0.0
 
     def _inputs(self) -> List[Tuple[np.ndarray, PairQueue]]:
         if self._prepared is None:

@@ -281,7 +281,8 @@ def attack_dataset(
         from memory while reported query counts stay paper-faithful
         (see :mod:`repro.runtime.cache`).  ``0`` and ``None`` both mean
         "no cache"; negative sizes raise here rather than inside a
-        worker.
+        worker.  A zoo classifier keeps a cache of its scalar answers
+        of its own, beneath this one.
     freeze:
         Switch the classifier onto the inference fast path before
         attacking (no-op for classifiers without a ``freeze`` method,

@@ -30,6 +30,7 @@ from repro.models.registry import build_model
 from repro.nn.module import Module
 from repro.nn.serialization import load_state, save_state
 from repro.nn.trainer import TrainConfig, Trainer
+from repro.runtime.cache import DEFAULT_CACHE_SIZE, QueryCache
 
 _DATASET_FACTORIES = {
     "cifar": (make_cifar_like, 10),
@@ -102,6 +103,14 @@ class TrainedModel:
     runs one forward at a time, which that pool requires.  Only serve
     and cluster threads call classifiers concurrently, and they build
     their own models and call them behind the broker's model lock.
+
+    It also answers exact repeats of a scalar query from a bounded LRU
+    of its own (a :class:`~repro.runtime.cache.QueryCache` of
+    ``DEFAULT_CACHE_SIZE`` entries), so a synthesis chain reuses the
+    scores an earlier chain or attack paid for.  The cache sits behind
+    every counting boundary, so no query count changes; ``batch`` skips
+    it, and a pickled or deep-copied classifier comes back with it
+    empty.  :meth:`frozen_classifier` copies have none.
     """
 
     arch: str
@@ -188,7 +197,9 @@ class ModelZoo:
         trained = TrainedModel(
             arch=arch,
             model=model,
-            classifier=NetworkClassifier(model, freeze=True),
+            classifier=NetworkClassifier(
+                model, freeze=True, cache=QueryCache(DEFAULT_CACHE_SIZE)
+            ),
             train_accuracy=meta["train_accuracy"],
             test_accuracy=meta["test_accuracy"],
             config=self.config,

@@ -21,6 +21,12 @@ what the count means:
   the boundary.  Every submission is counted (paper-faithful numbers,
   bit-identical to a cache-less run) and the cache only saves wall-clock
   time on the repeated forward passes.
+- ``NetworkClassifier(model, cache=QueryCache(...))`` -- the classifier's
+  own cache, behind every boundary that wraps it.  The model zoo hands
+  out its classifiers with one (:meth:`repro.models.zoo.ModelZoo.get`),
+  so every chain, attack and experiment that scores through the same
+  zoo classifier reuses its scalar answers with no caller change; every
+  other ``NetworkClassifier`` has none.
 
 The execution engine's attack integration uses the second arrangement so
 parallel, cached runs reproduce the paper's sequential numbers exactly.
@@ -108,6 +114,10 @@ class QueryCache:
     operations only: callers needing a compound ``get``-then-``put`` to
     be atomic (e.g. the broker's within-batch dedup) still hold their
     own lock around the sequence.
+
+    A pickled or deep-copied cache comes back empty with the same bound:
+    entries belong to the process that scored them, and a worker process
+    that receives a cached classifier fills its own.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -170,6 +180,9 @@ class QueryCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    def __reduce__(self):
+        return (QueryCache, (self.maxsize,))
 
 
 def encode_scores(scores: np.ndarray) -> Dict[str, object]:

@@ -6,12 +6,16 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.classifier.blackbox import NetworkClassifier
+from repro.attacks.fixed_sketch import FixedSketchAttack
+from repro.attacks.sparse_rs import SparseRS, SparseRSConfig
+from repro.classifier.blackbox import CountingClassifier, NetworkClassifier
+from repro.core.synthesis.oppsla import Oppsla, OppslaConfig
+from repro.eval.runner import attack_dataset
 from repro.models.zoo import ModelZoo, ZooConfig
+from repro.runtime.cache import DEFAULT_CACHE_SIZE
 
 
-@pytest.fixture
-def tiny_config(tmp_path):
+def _tiny_config(cache_dir) -> ZooConfig:
     """A config small enough to train inside a unit test."""
     return ZooConfig(
         dataset="cifar",
@@ -20,8 +24,22 @@ def tiny_config(tmp_path):
         test_per_class=6,
         epochs=2,
         batch_size=32,
-        cache_dir=str(tmp_path),
+        cache_dir=str(cache_dir),
     )
+
+
+@pytest.fixture
+def tiny_config(tmp_path):
+    return _tiny_config(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def trained_config(tmp_path_factory):
+    """A tiny config whose vgg16bn is trained once for this module: each
+    ``ModelZoo(trained_config).get`` loads it into a fresh classifier."""
+    config = _tiny_config(tmp_path_factory.mktemp("zoo"))
+    ModelZoo(config).get("vgg16bn")
+    return config
 
 
 class TestZooDatasets:
@@ -136,12 +154,120 @@ class TestZooTrainingAndCaching:
         assert np.array_equal(trained.classifier.batch(images), reference)
 
     def test_frozen_classifier_pickles_near_its_weights(self, tiny_config):
-        """Neither training's backward caches nor a big batch's scratch
-        ride along when the classifier ships to a worker process."""
+        """Neither training's backward caches, a big batch's scratch nor
+        the scalar cache's entries (or its lock) ride along when the
+        classifier ships to a worker process."""
         trained = ModelZoo(tiny_config).get("vgg16bn")
-        trained.classifier.batch(np.random.default_rng(0).random((1000, 8, 8, 3)))
+        images = np.random.default_rng(0).random((1000, 8, 8, 3))
+        trained.classifier.batch(images)
+        for image in images[:300]:
+            trained.classifier(image)
+        assert len(trained.classifier.cache) == 300
         weights = sum(
             param.data.nbytes + param.grad.nbytes
             for param in trained.model.parameters()
         )
-        assert len(pickle.dumps(trained.classifier)) < 1.1 * weights
+        shipped = pickle.dumps(trained.classifier)
+        assert len(shipped) < 1.1 * weights
+        for clone in (pickle.loads(shipped), copy.deepcopy(trained.classifier)):
+            assert len(clone.cache) == 0
+            assert clone.cache.maxsize == DEFAULT_CACHE_SIZE
+            assert clone(images[0]).tobytes() == trained.classifier(images[0]).tobytes()
+
+
+class TestZooScoreCache:
+    """The zoo classifier answers exact repeats of a scalar query from
+    its own bounded cache, behind every counting boundary."""
+
+    def test_zoo_classifier_alone_has_a_bounded_cache(self, trained_config):
+        trained = ModelZoo(trained_config).get("vgg16bn")
+        assert trained.classifier.cache.maxsize == DEFAULT_CACHE_SIZE
+        assert trained.frozen_classifier().cache is None
+        assert NetworkClassifier(trained.model).cache is None
+
+    def test_repeated_query_returns_the_first_answers_bytes(self, trained_config):
+        zoo = ModelZoo(trained_config)
+        classifier = zoo.get("vgg16bn").classifier
+        image = zoo.dataset("test").images[0]
+        first = classifier(image)
+        # the same image in another memory layout is the same query
+        again = classifier(np.asfortranarray(image))
+        assert classifier.cache.hits == 1 and classifier.cache.misses == 1
+        assert again.dtype == first.dtype and again.shape == first.shape
+        assert again.tobytes() == first.tobytes()
+        uncached = zoo.get("vgg16bn").frozen_classifier()
+        assert uncached(image).tobytes() == first.tobytes()
+
+    def test_mutating_an_answer_does_not_change_the_next(self, trained_config):
+        zoo = ModelZoo(trained_config)
+        classifier = zoo.get("vgg16bn").classifier
+        image = zoo.dataset("test").images[1]
+        first = classifier(image)
+        expected = first.copy()
+        first[:] = -1.0  # the forward's own array, stored as a copy
+        hit = classifier(image)
+        assert hit.tobytes() == expected.tobytes()
+        hit[:] = 7.0  # a hit hands out a copy too
+        assert classifier(image).tobytes() == expected.tobytes()
+
+    def test_batch_neither_reads_nor_fills_the_cache(self, trained_config):
+        zoo = ModelZoo(trained_config)
+        classifier = zoo.get("vgg16bn").classifier
+        images = zoo.dataset("test").images[:6]
+        for image in images[:3]:
+            classifier(image)
+        before = classifier.cache.stats()
+        classifier.batch(images)
+        after = classifier.cache.stats()
+        for key in ("hits", "misses", "size"):
+            assert after[key] == before[key], key
+
+    def test_counts_match_a_cache_less_classifier(self, trained_config):
+        """A ``CountingClassifier`` over the zoo classifier counts every
+        submission, hits included, and ``attack_dataset`` reports what a
+        cache-less classifier with the same bits reports, also on a
+        second run that the cache answers."""
+        zoo = ModelZoo(trained_config)
+        trained = zoo.get("vgg16bn")
+        images = zoo.dataset("test").images[:2]
+        counting = CountingClassifier(trained.classifier)
+        for index in (0, 1, 0, 0, 1):
+            counting(images[index])
+        assert counting.count == 5
+        assert trained.classifier.cache.hits == 3
+
+        pairs = zoo.correctly_classified("vgg16bn", split="test", limit=3).pairs()
+        assert pairs
+        uncached = trained.frozen_classifier()
+        for attack in (FixedSketchAttack(), SparseRS(SparseRSConfig(seed=3))):
+            reference = attack_dataset(attack, uncached, pairs, budget=48)
+            for _ in range(2):
+                hits = trained.classifier.cache.hits
+                summary = attack_dataset(attack, trained.classifier, pairs, budget=48)
+                assert summary.to_dict(include_timing=False) == reference.to_dict(
+                    include_timing=False
+                )
+                for result, expected in zip(summary.results, reference.results):
+                    assert result.queries == expected.queries
+                    assert result.success == expected.success
+                    assert result.location == expected.location
+                    assert result.adversarial_class == expected.adversarial_class
+            assert trained.classifier.cache.hits > hits
+
+    def test_repeated_synthesis_runs_no_forwards(self, trained_config):
+        """``forwards`` counts forwards where they run: a second identical
+        chain on one zoo classifier finds every score in its cache."""
+        zoo = ModelZoo(trained_config)
+        trained = zoo.get("vgg16bn")
+        pairs = zoo.correctly_classified("vgg16bn", split="train", limit=2).pairs()
+        config = OppslaConfig(max_iterations=4, per_image_budget=40, seed=3)
+        reference = Oppsla(config).synthesize(trained.frozen_classifier(), pairs)
+        first = Oppsla(config).synthesize(trained.classifier, pairs)
+        second = Oppsla(config).synthesize(trained.classifier, pairs)
+        for result in (first, second):
+            assert result.program == reference.program
+            assert result.total_queries == reference.total_queries
+        assert first.forwards == reference.forwards > 0
+        assert first.cache_hit_rate == reference.cache_hit_rate
+        assert second.forwards == 0
+        assert second.cache_hit_rate == 1.0
