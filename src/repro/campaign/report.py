@@ -61,23 +61,26 @@ def load_campaign_records(root: str) -> Dict:
 
 
 def _ordered_cells(manifest: Dict, cells: Dict[str, Dict]) -> List[Dict]:
-    """Cell records in spec order (completed cells only)."""
-    from repro.campaign.spec import CampaignSpec
+    """Cell records in spec order (completed cells only).
 
-    ordered = []
-    spec_payload = manifest.get("spec")
-    if spec_payload:
-        for cell in CampaignSpec.from_dict(spec_payload).expand():
-            if cell.cell_id in cells:
-                ordered.append(cells[cell.cell_id])
-        # cells the spec no longer expands to (should not happen under
-        # the fingerprint guard) still render, at the end
-        known = {record["cell"] for record in ordered}
-        ordered.extend(
-            cells[cell_id] for cell_id in sorted(cells) if cell_id not in known
-        )
-        return ordered
-    return [cells[cell_id] for cell_id in sorted(cells)]
+    A root without a spec, or whose stored spec this version no longer
+    accepts (an older root may name a since-removed override), renders
+    in cell-id order: its records still carry every reported number.
+    """
+    from repro.campaign.spec import CampaignSpec, SpecError
+
+    try:
+        expanded = CampaignSpec.from_dict(manifest.get("spec")).expand()
+    except SpecError:
+        expanded = []
+    ordered = [cells[cell.cell_id] for cell in expanded if cell.cell_id in cells]
+    # cells the spec does not expand to (none under the fingerprint
+    # guard, all without a valid spec) still render, at the end
+    known = {record["cell"] for record in ordered}
+    ordered.extend(
+        cells[cell_id] for cell_id in sorted(cells) if cell_id not in known
+    )
+    return ordered
 
 
 def _cell_value(record: Dict, key: str):

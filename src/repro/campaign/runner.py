@@ -327,7 +327,6 @@ def run_campaign(
             executor=executor,
             run_log=cell_log,
             cache_size=cell.cache_size,
-            freeze=cell.freeze,
             checkpoint=CheckpointStore(cell_directory(root, identity)),
             base_seed=cell.base_seed,
         )
@@ -337,7 +336,7 @@ def run_campaign(
             cache = {
                 key: value
                 for key, value in cache.items()
-                if key in ("hits", "misses", "hit_rate", "scope")
+                if key in ("hits", "misses", "hit_rate")
             }
         payload = cell_payload(cell, summary, cache, git_rev, time.time())
         # Durable before acknowledged: the cell joins records.jsonl

@@ -27,7 +27,6 @@ JSON document instead of an ad-hoc script::
 
     [overrides]               # optional run-wide execution settings
     cache_size = 16
-    freeze = false
 
 Everything downstream is a pure function of the spec:
 
@@ -132,7 +131,6 @@ class CellSpec:
     model_config: Mapping = field(default_factory=dict)
     attack_config: Mapping = field(default_factory=dict)
     cache_size: Optional[int] = None
-    freeze: bool = False
 
     @property
     def cell_id(self) -> str:
@@ -184,7 +182,6 @@ class CampaignSpec:
     model_config: Mapping[str, Mapping] = field(default_factory=dict)
     attack_config: Mapping[str, Mapping] = field(default_factory=dict)
     cache_size: Optional[int] = None
-    freeze: bool = False
 
     # ------------------------------------------------------------------
     # construction
@@ -303,7 +300,7 @@ class CampaignSpec:
 
         overrides = payload.get("overrides", {})
         _require(isinstance(overrides, Mapping), "[overrides] must be a table")
-        unknown = set(overrides) - {"cache_size", "freeze"}
+        unknown = set(overrides) - {"cache_size"}
         _require(not unknown, f"unknown overrides: {sorted(unknown)}")
         cache_size = overrides.get("cache_size")
         if cache_size is not None:
@@ -313,8 +310,6 @@ class CampaignSpec:
                 and cache_size >= 0,
                 "overrides.cache_size must be a non-negative integer",
             )
-        freeze = overrides.get("freeze", False)
-        _require(isinstance(freeze, bool), "overrides.freeze must be a boolean")
 
         return cls(
             campaign_id=campaign_id,
@@ -328,7 +323,6 @@ class CampaignSpec:
             model_config={k: dict(v) for k, v in model_config.items()},
             attack_config={k: dict(v) for k, v in attack_config.items()},
             cache_size=cache_size,
-            freeze=freeze,
         )
 
     @classmethod
@@ -381,10 +375,7 @@ class CampaignSpec:
             },
             "model": {k: dict(v) for k, v in sorted(self.model_config.items())},
             "attack": {k: dict(v) for k, v in sorted(self.attack_config.items())},
-            "overrides": {
-                "cache_size": self.cache_size,
-                "freeze": self.freeze,
-            },
+            "overrides": {"cache_size": self.cache_size},
         }
 
     def fingerprint(self) -> str:
@@ -422,7 +413,6 @@ class CampaignSpec:
                     model_config=dict(self.model_config.get(model, {})),
                     attack_config=dict(self.attack_config.get(attack, {})),
                     cache_size=self.cache_size,
-                    freeze=self.freeze,
                 )
             )
         return cells

@@ -221,7 +221,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         executor=executor,
         run_log=run_log,
         cache_size=args.cache_size,
-        freeze=args.freeze,
         checkpoint=store,
         base_seed=args.seed,
         step_batch=args.step_batch,
@@ -396,13 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU query-cache entries per worker (0 = no cache); caching "
         "sits inside the counting boundary so query counts stay faithful, "
         "on top of the zoo classifier's own cache of scalar answers",
-    )
-    attack.add_argument(
-        "--freeze",
-        action="store_true",
-        help="run the classifier on the inference fast path; a zoo "
-        "classifier already runs there, with the eval path's float64 "
-        "scores bit for bit, so query counts and scores are unchanged",
     )
     attack.add_argument(
         "--checkpoint",

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import AttackResult, OnePixelAttack
-from repro.runtime.cache import CachedClassifier, normalized_cache_size
 from repro.runtime.checkpoint import (
     CheckpointMismatch,
     CheckpointStore,
@@ -27,7 +26,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.events import NullRunLog, RunLog, ensure_log
 from repro.runtime.pool import WorkerPool, task_seed
-from repro.runtime.tasks import AttackTaskRunner, run_single_attack
+from repro.runtime.tasks import AttackTaskResult, AttackTaskRunner
 
 Classifier = Callable[[np.ndarray], np.ndarray]
 TestPair = Tuple[np.ndarray, int]
@@ -257,12 +256,17 @@ def attack_dataset(
     executor: Optional[WorkerPool] = None,
     run_log: Optional[RunLog] = None,
     cache_size: Optional[int] = None,
-    freeze: bool = False,
     checkpoint: Optional[CheckpointStore] = None,
     base_seed: int = 0,
     step_batch: Optional[int] = None,
 ) -> AttackRunSummary:
     """Attack every (image, true_class) pair and collect the results.
+
+    Each image is one call of an
+    :class:`~repro.runtime.tasks.AttackTaskRunner`: in this process
+    without an executor, shipped to the pool's workers with one.  Both
+    paths settle the same per-image envelopes, so they record, time and
+    count cache hits alike.
 
     Parameters
     ----------
@@ -282,14 +286,9 @@ def attack_dataset(
         (see :mod:`repro.runtime.cache`).  ``0`` and ``None`` both mean
         "no cache"; negative sizes raise here rather than inside a
         worker.  A zoo classifier keeps a cache of its scalar answers
-        of its own, beneath this one.
-    freeze:
-        Switch the classifier onto the inference fast path before
-        attacking (no-op for classifiers without a ``freeze`` method,
-        and for a zoo classifier, which is frozen already).  Freezing
-        changes per-query latency, never how many submissions an attack
-        makes; a float64 model's scores stay the unfrozen path's bit for
-        bit.
+        of its own, beneath this one.  With a cache, one ``cache_stats``
+        event (``hits``, ``misses``, ``hit_rate``) sums the run's
+        per-image counts on either path.
     checkpoint:
         A :class:`~repro.runtime.checkpoint.CheckpointStore` (or a
         directory path) recording each completed per-image result as a
@@ -313,11 +312,17 @@ def attack_dataset(
         on every path.  Scores are bit-identical only for classifiers
         scored per image: a network's native batch forward differs from
         its scalar forward in the last ulps (DESIGN §17).
-        The win is latency, especially with ``freeze=True``.
+        The win is latency.
     """
-    cache_size = normalized_cache_size(cache_size)
-    if step_batch is not None:
-        attack.batch_size = step_batch
+    # built before the checkpoint is touched: a negative cache size
+    # raises here, before any write
+    runner = AttackTaskRunner(
+        attack,
+        classifier,
+        budget=budget,
+        cache_size=cache_size,
+        step_batch=step_batch,
+    )
     if run_log is None and executor is not None:
         if not isinstance(executor.run_log, NullRunLog):
             run_log = executor.run_log
@@ -353,11 +358,31 @@ def attack_dataset(
                 )
     pending = [index for index in range(len(test_pairs)) if index not in completed]
 
-    def record(
-        index: int, result: AttackResult, seconds: Optional[float] = None
-    ) -> None:
+    if executor is None:
+        envelopes = ((index, runner(test_pairs[index])) for index in pending)
+    else:
+        outcomes = executor.map(
+            runner,
+            [test_pairs[index] for index in pending],
+            task_name=f"attack:{attack.name}",
+        )
+        envelopes = (
+            (
+                pending[outcome.index],
+                outcome.value
+                if outcome.ok
+                else AttackTaskResult(_degraded_result(outcome, budget)),
+            )
+            for outcome in outcomes
+        )
+    hits = misses = 0
+    for index, envelope in envelopes:
+        result, seconds = envelope.result, envelope.seconds
         # Write-ahead of the in-memory merge: the unit is durable before
-        # the run acknowledges it, so a crash between units loses nothing.
+        # the run acknowledges it.  In-process the generator runs one
+        # image per step, so a crash between images loses nothing; under
+        # an executor the records are written when ``executor.map``
+        # returns, so a crash mid-map re-runs that map's images.
         if store is not None:
             store.append(
                 campaign_record(
@@ -367,6 +392,8 @@ def attack_dataset(
         completed[index] = result
         if seconds is not None:
             image_seconds[index] = seconds
+        hits += envelope.cache_hits
+        misses += envelope.cache_misses
         log.emit(
             "attack_result",
             index=index,
@@ -375,62 +402,15 @@ def attack_dataset(
             error=result.error,
             seconds=seconds,
         )
-
     cache_stats = None
-    if executor is None:
-        if freeze:
-            freeze_method = getattr(classifier, "freeze", None)
-            if freeze_method is not None:
-                freeze_method()
-        effective = classifier
-        cached = None
-        if cache_size is not None:
-            cached = CachedClassifier(classifier, maxsize=cache_size)
-            effective = cached
-        for index in pending:
-            image, true_class = test_pairs[index]
-            started = time.perf_counter()
-            result = run_single_attack(attack, effective, image, true_class, budget)
-            record(index, result, seconds=time.perf_counter() - started)
-        if cached is not None:
-            cache_stats = cached.stats()
-            log.emit("cache_stats", **cache_stats)
-    else:
-        runner = AttackTaskRunner(
-            attack,
-            classifier,
-            budget=budget,
-            cache_size=cache_size,
-            freeze=freeze,
-            step_batch=step_batch,
-        )
-        outcomes = executor.map(
-            runner,
-            [test_pairs[index] for index in pending],
-            task_name=f"attack:{attack.name}",
-        )
-        hits = misses = 0
-        for outcome in outcomes:
-            index = pending[outcome.index]
-            seconds = None
-            if outcome.ok:
-                envelope = outcome.value
-                result = envelope.result
-                seconds = envelope.seconds
-                hits += envelope.cache_hits
-                misses += envelope.cache_misses
-            else:
-                result = _degraded_result(outcome, budget)
-            record(index, result, seconds=seconds)
-        if cache_size is not None:
-            total = hits + misses
-            cache_stats = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / total if total else 0.0,
-                "scope": "per-worker",
-            }
-            log.emit("cache_stats", **cache_stats)
+    if runner.cache_size is not None:
+        total = hits + misses
+        cache_stats = {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / total if total else 0.0,
+        }
+        log.emit("cache_stats", **cache_stats)
 
     results = [completed[index] for index in range(len(test_pairs))]
     summary = AttackRunSummary(

@@ -84,13 +84,6 @@ class AttackTaskRunner:
     through); negative sizes are rejected here, at the engine boundary,
     instead of surfacing as a :class:`QueryCache` crash inside a worker.
 
-    ``freeze=True`` switches the classifier onto the inference fast path
-    (see :meth:`repro.nn.Module.freeze`) on first use in each worker --
-    after unpickling, so the flag is spawn-safe.  Classifiers without a
-    ``freeze`` method are left untouched, and a zoo classifier arrives
-    frozen already; a float64 model's scores are the eval path's either
-    way.
-
     ``step_batch`` sets the attack's batch-native stepping window
     (:attr:`~repro.attacks.base.OnePixelAttack.batch_size`) inside the
     worker: ``None`` leaves the attack's own default, ``0`` pins the
@@ -104,30 +97,21 @@ class AttackTaskRunner:
         classifier,
         budget: Optional[int] = None,
         cache_size: Optional[int] = None,
-        freeze: bool = False,
         step_batch: Optional[int] = None,
     ):
         self.attack = attack
         self.classifier = classifier
         self.budget = budget
         self.cache_size = normalized_cache_size(cache_size)
-        self.freeze = freeze
         self.step_batch = step_batch
         self._cached: Optional[CachedClassifier] = None
-        self._frozen = False
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_cached"] = None  # caches are worker-local, never shipped
-        state["_frozen"] = False  # re-freeze (idempotent) in the worker
         return state
 
     def _effective_classifier(self):
-        if self.freeze and not self._frozen:
-            freeze_method = getattr(self.classifier, "freeze", None)
-            if freeze_method is not None:
-                freeze_method()
-            self._frozen = True
         if self.cache_size is None:
             return self.classifier
         if self._cached is None:

@@ -34,7 +34,11 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import CampaignSpec, SpecError, cell_id, cell_seeds
 from repro.campaign.store import ResultsStore, StoreError, make_record
-from repro.runtime.checkpoint import RECORDS_NAME
+from repro.runtime.checkpoint import (
+    RECORDS_NAME,
+    CheckpointMismatch,
+    CheckpointStore,
+)
 from repro.testkit.kill import (
     kill_and_resume_matrix,
     matrix_fingerprint,
@@ -106,6 +110,12 @@ class TestSpecValidation:
                 "cache_size",
             ),
             (lambda p: p.update(overrides={"freeze": "yes"}), "freeze"),
+            # a document older versions accepted: the knob is gone
+            pytest.param(
+                lambda p: p.update(overrides={"freeze": False}),
+                "unknown overrides: ['freeze']",
+                id="removed-freeze-override",
+            ),
         ],
     )
     def test_rejects_and_names_the_field(self, mutate, fragment):
@@ -457,6 +467,40 @@ class TestReport:
     def test_empty_root_raises_report_error(self, tmp_path):
         with pytest.raises(ReportError):
             campaign_markdown(str(tmp_path / "nothing"))
+
+    def test_root_with_a_removed_override_reports_in_cell_id_order(
+        self, tmp_path
+    ):
+        """A root written while specs still took ``overrides.freeze``
+        stores a spec this version refuses: it still renders (in cell-id
+        order, as a root without a spec does) but does not resume."""
+        root = self.completed_root(tmp_path)
+        with_freeze_override(root)
+        cell_ids = sorted(
+            cell.cell_id
+            for cell in CampaignSpec.from_dict(toy_matrix_spec()).expand()
+        )
+        markdown = campaign_markdown(root, include_timing=False)
+        rows = [
+            line.split(" | ")[0][2:]
+            for line in markdown.splitlines()
+            if line.startswith("| toy.")
+        ]
+        assert rows == cell_ids
+        csv_rows = campaign_csv(root, include_timing=False).splitlines()[1:]
+        assert [row.split(",")[0] for row in csv_rows] == cell_ids
+        write_campaign_bench(root, str(tmp_path))
+        with pytest.raises(CheckpointMismatch):
+            run_campaign(CampaignSpec.from_dict(toy_matrix_spec()), root)
+
+
+def with_freeze_override(root: str) -> None:
+    """Rewrite a campaign root's stored spec as older versions wrote it,
+    naming the since-removed ``overrides.freeze``."""
+    store = CheckpointStore(root)
+    manifest = store.manifest()
+    manifest["spec"]["overrides"]["freeze"] = False
+    store.write_manifest(manifest)
 
 
 @pytest.mark.slow

@@ -48,9 +48,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "--cache-size", "-5"])
 
-    def test_attack_freeze_flag(self):
-        assert build_parser().parse_args(["attack"]).freeze is False
-        assert build_parser().parse_args(["attack", "--freeze"]).freeze is True
+    def test_attack_freeze_flag(self, capsys):
+        """``repro attack --freeze`` is gone: a zoo classifier is frozen
+        already, so the flag changed no score and no query count."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["attack", "--freeze"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "usage:" in error
+        assert "unrecognized arguments: --freeze" in error
 
 
 class TestCommands:
@@ -66,16 +72,15 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Sketch+False" in output
 
-    def test_attack_with_cache_disabled_and_freeze(self, cache_dir, capsys):
+    def test_attack_with_cache_disabled(self, cache_dir, capsys):
         """Regression: ``--cache-size 0`` used to crash with ``ValueError:
-        maxsize must be positive``; it now means "no cache", and composes
-        with the frozen inference fast path."""
+        maxsize must be positive``; it now means "no cache"."""
         main(["train", *TINY, "--cache-dir", cache_dir])
         capsys.readouterr()
         assert main(
             ["attack", *TINY, "--cache-dir", cache_dir,
              "--images", "2", "--budget", "40",
-             "--cache-size", "0", "--freeze"]
+             "--cache-size", "0"]
         ) == 0
         assert "Sketch+False" in capsys.readouterr().out
 
@@ -296,6 +301,35 @@ class TestCampaignCommands:
         assert "cell,total_images" in open(out_path).read()
         payload = read_bench(str(tmp_path / "BENCH_campaign_cli.json"))
         assert payload["suite"] == "campaign_cli"
+
+    def test_root_with_a_removed_override_reports_and_lists_cleanly(
+        self, tmp_path, capsys
+    ):
+        """A root whose stored spec names ``overrides.freeze`` (written
+        before that knob was removed): ``report`` renders it in cell-id
+        order, ``list`` exits with a clean error, not a traceback."""
+        from repro.runtime.checkpoint import CheckpointStore
+
+        spec = self.spec_path(tmp_path)
+        root = str(tmp_path / "camp")
+        main(["campaign", "run", "--spec", spec, "--root", root])
+        store = CheckpointStore(root)
+        manifest = store.manifest()
+        manifest["spec"]["overrides"]["freeze"] = False
+        store.write_manifest(manifest)
+        capsys.readouterr()
+
+        assert main(["campaign", "report", "--root", root, "--no-timing"]) == 0
+        rows = [
+            line.split(" | ")[0][2:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| toy.")
+        ]
+        assert len(rows) == 4 and rows == sorted(rows)
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "list", "--root", root])
+        assert str(excinfo.value) == "error: unknown overrides: ['freeze']"
 
     def test_invalid_spec_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

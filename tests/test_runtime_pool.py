@@ -257,6 +257,51 @@ class TestAttackDatasetDeterminism:
         )
         assert _results_signature(plain) == _results_signature(cached)
 
+    def test_cache_stats_are_one_contract_in_process_and_pooled(self, toy_setup):
+        """Both paths run one ``AttackTaskRunner`` per image and settle
+        its envelopes alike: equal summaries and one ``cache_stats``
+        event of the same shape and counts."""
+        classifier, pairs = toy_setup
+        runs = []
+        for executor in (None, WorkerPool(workers=0)):
+            log = RunLog()
+            summary = attack_dataset(
+                FixedSketchAttack(),
+                classifier,
+                pairs,
+                budget=200,
+                executor=executor,
+                run_log=log,
+                cache_size=64,
+            )
+            events = [
+                {key: value for key, value in event.items() if key != "ts"}
+                for event in log.of_type("cache_stats")
+            ]
+            runs.append((summary.to_dict(include_timing=False), events))
+        assert runs[0] == runs[1]
+        (event,) = runs[0][1]
+        assert set(event) == {"event", "hits", "misses", "hit_rate"}
+        assert event["misses"] > 0
+
+    def test_negative_cache_size_raises_before_the_checkpoint(
+        self, toy_setup, tmp_path
+    ):
+        classifier, pairs = toy_setup
+        checkpoint = tmp_path / "checkpoint"
+        for executor in (None, WorkerPool(workers=0)):
+            with pytest.raises(ValueError, match="non-negative"):
+                attack_dataset(
+                    FixedSketchAttack(),
+                    classifier,
+                    pairs,
+                    budget=50,
+                    executor=executor,
+                    cache_size=-1,
+                    checkpoint=str(checkpoint),
+                )
+            assert not checkpoint.exists()
+
 
 class TestSynthesisDeterminism:
     def test_parallel_candidate_evaluation_matches_sequential(self, toy_setup):
