@@ -34,6 +34,7 @@ from repro.eval.experiments import (
     run_table1,
     run_table2,
 )
+from repro.runtime.checkpoint import CheckpointMismatch
 from repro.eval.reporting import (
     format_ablation,
     format_success_curves,
@@ -536,7 +537,11 @@ def main(argv=None) -> int:
 
         return cluster_main(argv[1:])
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointMismatch as exc:
+        # resuming into another run's checkpoint is refused by design
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

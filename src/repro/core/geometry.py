@@ -12,6 +12,7 @@ Two metrics order the space:
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -75,6 +76,19 @@ def center_distance(location: Tuple[int, int], shape: Tuple[int, int]) -> float:
     """
     ci, cj = image_center(shape)
     return max(abs(location[0] - ci), abs(location[1] - cj))
+
+
+@functools.lru_cache(maxsize=None)
+def center_distances(shape: Tuple[int, int]) -> np.ndarray:
+    """:func:`center_distance` of every location, as a read-only
+    ``(d1, d2)`` array (the same values, bit for bit)."""
+    d1, d2 = shape
+    ci, cj = image_center(shape)
+    rows = np.arange(d1)[:, None]
+    cols = np.arange(d2)[None, :]
+    distances = np.maximum(np.abs(rows - ci), np.abs(cols - cj))
+    distances.flags.writeable = False
+    return distances
 
 
 def max_center_distance(shape: Tuple[int, int]) -> float:

@@ -8,7 +8,12 @@ The queue starts with all ``8 * d1 * d2`` pairs, sorted by:
    ``d1 * d2`` the second farthest, and so on;
 2. *secondary*: ascending Linf distance of the location from the image
    center (center-out);
-3. deterministic tie-breaks: row-major location order, then corner index.
+3. deterministic tie-breaks: row-major location order, then corner index
+   -- that is, pair index order (:mod:`repro.core.pairs`).
+
+:func:`initial_indices` sorts once, into pair indices; the sketch's
+queue (:func:`initial_queue`) and the :class:`~repro.core.pairs.Pair`
+list of :func:`initial_order` are both views of that one sort.
 """
 
 from __future__ import annotations
@@ -17,20 +22,17 @@ from typing import List
 
 import numpy as np
 
-from repro.core.geometry import NUM_CORNERS, image_center
-from repro.core.pairs import Pair
+from repro.core.geometry import NUM_CORNERS, center_distances
+from repro.core.pairqueue import PairQueue
+from repro.core.pairs import Pair, pair_at
 
 
-def initial_order(image: np.ndarray) -> List[Pair]:
-    """The sketch's initial queue contents for ``image`` (H, W, 3)."""
+def initial_indices(image: np.ndarray) -> List[int]:
+    """The sketch's initial queue contents for ``image`` (H, W, 3), as
+    pair indices."""
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"image must be (H, W, 3), got {image.shape}")
-    d1, d2 = image.shape[:2]
-    ci, cj = image_center((d1, d2))
-
-    rows = np.arange(d1)[:, None] * np.ones((1, d2), dtype=int)
-    cols = np.arange(d2)[None, :] * np.ones((d1, 1), dtype=int)
-    center_dist = np.maximum(np.abs(rows - ci), np.abs(cols - cj))
+    center_dist = center_distances(image.shape[:2])
 
     # (d1, d2, 8) L1 distances from each original pixel to each corner,
     # then per-location descending rank of each corner.
@@ -44,14 +46,22 @@ def initial_order(image: np.ndarray) -> List[Pair]:
     ranks_range = np.arange(NUM_CORNERS)
     np.put_along_axis(rank, order_by_distance, ranks_range[None, None, :], axis=2)
 
-    # sort keys: (rank, center distance, row, col, corner)
+    # sort keys: (rank, center distance, pair index); the flattened
+    # (d1, d2, 8) arrays are in pair index order
     rank_flat = rank.reshape(-1)
-    rows3 = np.repeat(rows.reshape(-1), NUM_CORNERS)
-    cols3 = np.repeat(cols.reshape(-1), NUM_CORNERS)
     center3 = np.repeat(center_dist.reshape(-1), NUM_CORNERS)
-    corner3 = np.tile(ranks_range, d1 * d2)
-    order = np.lexsort((corner3, cols3, rows3, center3, rank_flat))
-    return [
-        Pair(int(rows3[index]), int(cols3[index]), int(corner3[index]))
-        for index in order
-    ]
+    index = np.arange(rank_flat.size)
+    return np.lexsort((index, center3, rank_flat)).tolist()
+
+
+def initial_queue(image: np.ndarray) -> PairQueue:
+    """A :class:`~repro.core.pairqueue.PairQueue` of
+    :func:`initial_indices`: the sketch's queue before its first pop."""
+    return PairQueue(initial_indices(image))
+
+
+def initial_order(image: np.ndarray) -> List[Pair]:
+    """The sketch's initial queue contents for ``image``, as
+    :class:`~repro.core.pairs.Pair` objects (for inspection)."""
+    shape = image.shape[:2]
+    return [pair_at(index, shape) for index in initial_indices(image)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -35,13 +35,12 @@ from repro.core.stepping import (
     resolve_batch_window,
 )
 from repro.classifier.blackbox import QueryBudgetExceeded
-from repro.core.context import EvalContext
 from repro.core.instrumentation import SketchStats
 from repro.core.dsl.ast import Program
-from repro.core.dsl.interpreter import evaluate_condition
-from repro.core.initorder import initial_order
+from repro.core.dsl.interpreter import compile_condition
+from repro.core.initorder import initial_queue
 from repro.core.pairqueue import PairQueue
-from repro.core.pairs import Pair, location_neighbors
+from repro.core.pairs import Pair, neighbor_table, pair_at, perturb
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,15 @@ class OnePixelSketch:
         :meth:`StepCounter.charge`, making results and per-query
         accounting bit-identical to the scalar path.
 
-        ``queue``, if given, must be ``PairQueue(initial_order(image))``
-        in its initial state; the attack consumes it in place of building
-        that queue, so a caller attacking one image many times passes a
-        fresh :meth:`PairQueue.copy` of one prepared queue per call.
+        The sketch runs on pair indices (:mod:`repro.core.pairs`) and
+        on the program's conditions compiled for ``image``
+        (:func:`~repro.core.dsl.interpreter.compile_condition`); a
+        :class:`~repro.core.pairs.Pair` is built only for the result.
+
+        ``queue``, if given, must be ``initial_queue(image)`` in its
+        initial state; the attack consumes it in place of building that
+        queue, so a caller attacking one image many times passes a fresh
+        :meth:`PairQueue.copy` of one prepared queue per call.
         """
         if image.ndim != 3 or image.shape[2] != 3:
             raise ValueError(f"image must be (H, W, 3), got {image.shape}")
@@ -172,8 +176,12 @@ class OnePixelSketch:
             )
         shape = image.shape[:2]
         if queue is None:
-            queue = PairQueue(initial_order(image))
-        program = self.program
+            queue = initial_queue(image)
+        b1, b2, b3, b4 = (
+            compile_condition(condition, image, clean_scores, true_class)
+            for condition in self.program.conditions
+        )
+        neighbors = neighbor_table(shape)
 
         def is_success(winner: int) -> bool:
             if target_class is None:
@@ -181,25 +189,21 @@ class OnePixelSketch:
             return winner == target_class
 
         window = resolve_batch_window(batch_size)
-        #: pair -> (query, scores row, origin batch) for posed-but-not-yet-
+        #: index -> (query, scores row, origin batch) for posed-but-not-yet-
         #: demanded speculation; entries stay valid across queue reordering
         #: because a pair's perturbed image never changes.
-        prefetched: Dict[Pair, tuple] = {}
+        prefetched: Dict[int, tuple] = {}
 
-        def fetch(pair: Pair, perturbed: np.ndarray):
-            """Scores for ``pair`` (subgenerator), batched when enabled.
+        def fetch(index: int, perturbed: np.ndarray):
+            """Batched scores for pair ``index`` (subgenerator).
 
-            Scalar mode submits one counted query.  Batched mode serves
-            from the prefetch map, posing a new speculative batch (the
-            demanded pair plus upcoming queue entries) on a miss; the
-            charge and observer notification happen here, at
-            consumption, in exact scalar order.
+            Serves from the prefetch map, posing a new speculative batch
+            (the demanded pair plus upcoming queue entries) on a miss;
+            the charge and observer notification happen here, at
+            consumption, in exact scalar order.  (Scalar mode submits one
+            counted query per pair, in :func:`check`.)
             """
-            if window <= 0:
-                return np.asarray(
-                    (yield counter.submit(perturbed)), dtype=np.float64
-                )
-            entry = prefetched.pop(pair, None)
+            entry = prefetched.pop(index, None)
             if entry is None:
                 if counter.allowance == 0:
                     counter.charge()  # raises where the scalar path stops
@@ -208,148 +212,145 @@ class OnePixelSketch:
                     room = max(
                         1, min(window, counter.allowance - len(prefetched))
                     )
-                targets = [pair]
+                targets = [index]
                 if room > 1:
                     for upcoming in queue.peek(room - 1 + len(prefetched)):
                         if len(targets) >= room:
                             break
                         if upcoming not in prefetched:
                             targets.append(upcoming)
-                batch = QueryBatch(tuple(
-                    Query(perturbed if target is pair else target.apply(image))
-                    for target in targets
+                batch = QueryBatch((Query(perturbed),) + tuple(
+                    Query(perturb(image, target)) for target in targets[1:]
                 ))
                 answers = np.asarray((yield batch), dtype=np.float64)
                 for target, query, row in zip(targets, batch.queries, answers):
                     prefetched[target] = (query, row, batch)
-                entry = prefetched.pop(pair)
+                entry = prefetched.pop(index)
             query, row, origin = entry
             counter.charge()
             origin.note(query, row)
             return row
 
-        def check(pair: Pair):
+        def check(index: int):
             """Query one pair (subgenerator); returns (scores, result)."""
-            perturbed = pair.apply(image)
-            scores = yield from fetch(pair, perturbed)
-            winner = int(np.argmax(scores))
+            perturbed = perturb(image, index)
+            if window <= 0:
+                scores = np.asarray(
+                    (yield counter.submit(perturbed)), dtype=np.float64
+                )
+            else:
+                scores = yield from fetch(index, perturbed)
+            winner = int(scores.argmax())
             if is_success(winner):
                 return scores, SketchResult(
                     success=True,
                     queries=counter.count,
-                    pair=pair,
+                    pair=pair_at(index, shape),
                     adversarial_image=perturbed,
                     adversarial_class=winner,
                 )
             return scores, None
 
-        def context_for(pair: Pair, scores: np.ndarray) -> EvalContext:
-            return EvalContext(
-                image=image,
-                pair=pair,
-                clean_scores=clean_scores,
-                perturbed_scores=scores,
-                true_class=true_class,
-            )
-
         try:
             while queue:
-                pair = queue.pop()
-                scores, result = yield from check(pair)
+                index = queue.pop()
+                scores, result = yield from check(index)
                 if stats is not None:
                     stats.main_loop_pops += 1
                 if result is not None:
                     return result
-                context = context_for(pair, scores)
 
                 # push-back reordering (lines 5-6)
-                b1 = evaluate_condition(program.b1, context)
+                fired = b1(index, scores)
                 if stats is not None:
-                    stats.record_condition("b1", b1)
-                if b1:
-                    for neighbor in location_neighbors(pair, shape):
+                    stats.record_condition("b1", fired)
+                if fired:
+                    for neighbor in neighbors[index]:
                         if neighbor in queue:
                             queue.push_back(neighbor)
                             if stats is not None:
                                 stats.pushed_back_location += 1
-                b2 = evaluate_condition(program.b2, context)
+                fired = b2(index, scores)
                 if stats is not None:
-                    stats.record_condition("b2", b2)
-                if b2:
-                    next_same_location = queue.first_at_location(pair.location)
+                    stats.record_condition("b2", fired)
+                if fired:
+                    next_same_location = queue.first_at_location(index)
                     if next_same_location is not None:
                         queue.push_back(next_same_location)
                         if stats is not None:
                             stats.pushed_back_perturbation += 1
 
-                # eager front-checking (lines 7-24)
-                result = yield from self._eager_check(
-                    pair, context, queue, shape, check, context_for, stats
-                )
-                if result is not None:
-                    return result
+                # eager front-checking (lines 7-24); when neither B3 nor
+                # B4 fires on the failed pair the BFS would stop at once
+                if b3(index, scores) or b4(index, scores):
+                    result = yield from _eager_check(
+                        index, scores, queue, neighbors, b3, b4, check, stats
+                    )
+                    if result is not None:
+                        return result
+                elif stats is not None:
+                    stats.record_condition("b3", False)
+                    stats.record_condition("b4", False)
         except QueryBudgetExceeded:
             return SketchResult(success=False, queries=counter.count)
         return SketchResult(success=False, queries=counter.count)
 
-    def _eager_check(
-        self,
-        failed_pair: Pair,
-        failed_context: EvalContext,
-        queue: PairQueue,
-        shape,
-        check,
-        context_for,
-        stats: Optional[SketchStats] = None,
-    ):
-        """The eager BFS of Algorithm 1, lines 7-24 (subgenerator).
 
-        ``loc_queue`` / ``pert_queue`` hold failed pairs whose neighbours
-        (by location / by perturbation respectively) may deserve immediate
-        checking, as decided by conditions ``B3`` / ``B4``.
-        """
-        program = self.program
-        contexts: Dict[Pair, EvalContext] = {failed_pair: failed_context}
-        loc_queue = deque([failed_pair])
-        pert_queue = deque([failed_pair])
+def _eager_check(
+    failed: int,
+    failed_scores: np.ndarray,
+    queue: PairQueue,
+    neighbors,
+    b3,
+    b4,
+    check,
+    stats: Optional[SketchStats] = None,
+):
+    """The eager BFS of Algorithm 1, lines 7-24 (subgenerator).
 
-        def expand(candidates: List[Pair]):
-            for candidate in candidates:
-                queue.remove(candidate)
-                scores, result = yield from check(candidate)
-                if stats is not None:
-                    stats.eager_checks += 1
+    ``loc_queue`` / ``pert_queue`` hold failed pairs whose neighbours
+    (by location / by perturbation respectively) may deserve immediate
+    checking, as decided by conditions ``B3`` / ``B4``.
+    """
+    scores_of: Dict[int, np.ndarray] = {failed: failed_scores}
+    loc_queue = deque([failed])
+    pert_queue = deque([failed])
+
+    def expand(candidates):
+        for candidate in candidates:
+            queue.remove(candidate)
+            scores, result = yield from check(candidate)
+            if stats is not None:
+                stats.eager_checks += 1
+            if result is not None:
+                return result
+            scores_of[candidate] = scores
+            loc_queue.append(candidate)
+            pert_queue.append(candidate)
+        return None
+
+    while loc_queue or pert_queue:
+        while loc_queue:
+            index = loc_queue.popleft()
+            fired = b3(index, scores_of[index])
+            if stats is not None:
+                stats.record_condition("b3", fired)
+            if fired:
+                in_queue = [
+                    neighbor for neighbor in neighbors[index] if neighbor in queue
+                ]
+                result = yield from expand(in_queue)
                 if result is not None:
                     return result
-                contexts[candidate] = context_for(candidate, scores)
-                loc_queue.append(candidate)
-                pert_queue.append(candidate)
-            return None
-
-        while loc_queue or pert_queue:
-            while loc_queue:
-                pair = loc_queue.popleft()
-                b3 = evaluate_condition(program.b3, contexts[pair])
-                if stats is not None:
-                    stats.record_condition("b3", b3)
-                if b3:
-                    in_queue = [
-                        neighbor
-                        for neighbor in location_neighbors(pair, shape)
-                        if neighbor in queue
-                    ]
-                    result = yield from expand(in_queue)
+        while pert_queue:
+            index = pert_queue.popleft()
+            fired = b4(index, scores_of[index])
+            if stats is not None:
+                stats.record_condition("b4", fired)
+            if fired:
+                next_same_location = queue.first_at_location(index)
+                if next_same_location is not None:
+                    result = yield from expand([next_same_location])
                     if result is not None:
                         return result
-            while pert_queue:
-                pair = pert_queue.popleft()
-                b4 = evaluate_condition(program.b4, contexts[pair])
-                if stats is not None:
-                    stats.record_condition("b4", b4)
-                if b4:
-                    next_same_location = queue.first_at_location(pair.location)
-                    if next_same_location is not None:
-                        result = yield from expand([next_same_location])
-                        if result is not None:
-                            return result
-        return None
+    return None

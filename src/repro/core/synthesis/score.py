@@ -19,9 +19,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.dsl.ast import Program
-from repro.core.geometry import NUM_CORNERS
-from repro.core.initorder import initial_order
+from repro.core.initorder import initial_queue
 from repro.core.pairqueue import PairQueue
+from repro.core.pairs import pair_count
 from repro.core.sketch import OnePixelSketch, SketchResult
 from repro.core.stepping import drive_steps
 
@@ -114,8 +114,9 @@ class TrainingSet:
       classifier's own bounded cache cannot promise (DESIGN §17);
     - each pair's clean scores, which the sketch would otherwise ask for
       (uncounted) on every evaluation;
-    - each pair's initial :class:`~repro.core.pairqueue.PairQueue`, of
-      which every evaluation consumes a :meth:`~PairQueue.copy`.
+    - each pair's initial :class:`~repro.core.pairqueue.PairQueue` of
+      pair indices, of which every evaluation consumes a
+      :meth:`~PairQueue.copy` (two list copies).
 
     Clean scores and queues are built on the first in-process
     evaluation, so a run that scores candidates in worker processes
@@ -143,9 +144,7 @@ class TrainingSet:
         self.classifier = classifier
         self.pairs = pairs
         self.shape = shape
-        self.cache = QueryCache(
-            len(pairs) * (NUM_CORNERS * shape[0] * shape[1] + 1)
-        )
+        self.cache = QueryCache(len(pairs) * (pair_count(shape) + 1))
         self._cached = CachedClassifier(classifier, self.cache)
         self._prepared: Optional[List[Tuple[np.ndarray, PairQueue]]] = None
 
@@ -192,7 +191,7 @@ class TrainingSet:
             self._prepared = [
                 (
                     np.asarray(self._cached(image), dtype=np.float64),
-                    PairQueue(initial_order(image)),
+                    initial_queue(image),
                 )
                 for image, _ in self.pairs
             ]

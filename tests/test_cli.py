@@ -226,6 +226,23 @@ class TestCheckpointFlags:
         assert "# resumed 3/3 images, 0 queries replayed" in second
         assert first.strip() in second
 
+    def test_attack_resume_with_another_budget_is_a_clean_error(
+        self, cache_dir, tmp_path, capsys
+    ):
+        """A checkpoint written at one budget refuses a rerun at another
+        with an ``error:`` line and exit 1, not a traceback."""
+        main(["train", *TINY, "--cache-dir", cache_dir])
+        checkpoint = str(tmp_path / "campaign")
+        argv = [
+            "attack", *TINY, "--cache-dir", cache_dir,
+            "--images", "2", "--checkpoint", checkpoint,
+        ]
+        assert main(argv + ["--budget", "50"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--budget", "40"])
+        message = str(excinfo.value)
+        assert message.startswith("error: ") and "refusing to resume" in message
+
     def test_synthesize_checkpoint_resume_prints_iteration(
         self, cache_dir, tmp_path, capsys
     ):
@@ -330,6 +347,22 @@ class TestCampaignCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "list", "--root", root])
         assert str(excinfo.value) == "error: unknown overrides: ['freeze']"
+
+    def test_resume_with_an_edited_spec_is_a_clean_error(self, tmp_path):
+        """``campaign run`` on a root whose stored spec differs exits with
+        an ``error:`` line and exit 1, not a traceback."""
+        from repro.testkit.kill import toy_matrix_spec
+
+        root = str(tmp_path / "camp")
+        main(["campaign", "run", "--spec", self.spec_path(tmp_path), "--root", root])
+        edited = tmp_path / "edited.json"
+        edited.write_text(
+            json.dumps(toy_matrix_spec(images=2, budget=8, campaign_id="cli"))
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "run", "--spec", str(edited), "--root", root])
+        message = str(excinfo.value)
+        assert message.startswith("error: ") and "refusing to resume" in message
 
     def test_invalid_spec_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

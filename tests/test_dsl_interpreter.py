@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.context import EvalContext
 from repro.core.dsl.ast import (
@@ -16,8 +19,13 @@ from repro.core.dsl.ast import (
     PixelRef,
     ScoreDiff,
 )
-from repro.core.dsl.interpreter import evaluate_condition, evaluate_function
-from repro.core.pairs import Pair
+from repro.core.dsl.interpreter import (
+    compile_condition,
+    evaluate_condition,
+    evaluate_function,
+)
+from repro.core.pairs import Pair, pair_at, pair_count
+from repro.testkit.generators import conditions
 
 
 @pytest.fixture
@@ -114,3 +122,44 @@ class TestContext:
             true_class=0,
         )
         assert context.score_diff() == pytest.approx(-0.3)
+
+
+class TestCompiledConditions:
+    """A condition compiled for an image is the interpreter, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_compiled_verdict_equals_the_interpreter(self, data):
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+        width = data.draw(st.sampled_from([64, 32]), label="float width")
+        image = data.draw(arrays(
+            np.float64 if width == 64 else np.float32,
+            shape + (3,),
+            elements=st.floats(0, 1, width=width),
+        ))
+        classes = data.draw(st.integers(2, 5))
+        score_vectors = arrays(np.float64, classes, elements=st.floats(0, 1))
+        clean_scores = data.draw(score_vectors)
+        scores = data.draw(score_vectors)
+        true_class = data.draw(st.integers(0, classes - 1))
+        index = data.draw(st.integers(0, pair_count(shape) - 1))
+        context = EvalContext(
+            image=image,
+            pair=pair_at(index, shape),
+            clean_scores=clean_scores,
+            perturbed_scores=scores,
+            true_class=true_class,
+        )
+        condition = data.draw(conditions(shape, allow_literals=True))
+        if isinstance(condition, Condition) and data.draw(
+            st.booleans(), label="constant at the computed value"
+        ):
+            # both inequalities are strict: at a tie each is false, and a
+            # value computed with other bits lands on one side
+            condition = Condition(
+                condition.comparison,
+                condition.function,
+                Constant(evaluate_function(condition.function, context)),
+            )
+        compiled = compile_condition(condition, image, clean_scores, true_class)
+        assert compiled(index, scores) == evaluate_condition(condition, context)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.geometry import center_distance, corner_ranking
-from repro.core.initorder import initial_order
+from repro.core.initorder import initial_indices, initial_order, initial_queue
+from repro.core.pairs import pair_at
 
 
 def rank_of(pair, image):
@@ -22,6 +23,13 @@ class TestInitialOrder:
         order = initial_order(image)
         assert len(order) == 8 * 4 * 5
         assert len(set(order)) == len(order)
+
+    def test_pairs_and_queue_are_views_of_the_indices(self):
+        image = np.random.default_rng(4).uniform(size=(3, 5, 3))
+        indices = initial_indices(image)
+        assert initial_order(image) == [pair_at(index, (3, 5)) for index in indices]
+        queue = initial_queue(image)
+        assert [queue.pop() for _ in indices] == indices
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.geometry import RGB_CORNERS, location_distance
-from repro.core.pairs import Pair, all_pairs, location_neighbors
+from repro.core.pairs import (
+    Pair,
+    all_pairs,
+    index_of,
+    location_neighbors,
+    location_pairs,
+    pair_at,
+    pair_count,
+    perturb,
+)
 
 
 class TestPair:
@@ -97,3 +106,35 @@ class TestLocationNeighbors:
             assert neighbor.corner == corner
             assert location_distance(neighbor.location, pair.location) == 1
         assert pair not in neighbors
+
+
+class TestIndexEncoding:
+    @given(st.integers(1, 7), st.integers(1, 7))
+    def test_index_order_is_row_major_then_corner(self, d1, d2):
+        shape = (d1, d2)
+        pairs = [pair_at(index, shape) for index in range(pair_count(shape))]
+        assert pairs == sorted(pairs) == list(all_pairs(shape))
+        assert [index_of(pair, shape) for pair in pairs] == list(range(len(pairs)))
+
+    def test_index_of_rejects_pairs_outside_the_image(self):
+        with pytest.raises(ValueError):
+            index_of(Pair(0, 3, 0), (4, 3))
+
+    def test_location_pairs_share_the_location(self):
+        shape = (3, 5)
+        for index in range(pair_count(shape)):
+            same = [pair_at(other, shape) for other in location_pairs(index)]
+            assert [pair.corner for pair in same] == list(range(8))
+            assert {pair.location for pair in same} == {pair_at(index, shape).location}
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_perturb_is_apply(self, d1, d2, data):
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        image = np.random.default_rng(d1 * 7 + d2).random((d1, d2, 3)).astype(dtype)
+        if data.draw(st.booleans(), label="non-contiguous image"):
+            image = image[:, ::-1]
+        index = data.draw(st.integers(0, pair_count((d1, d2)) - 1))
+        perturbed = perturb(image, index)
+        expected = pair_at(index, (d1, d2)).apply(image)
+        assert perturbed.dtype == expected.dtype
+        assert perturbed.tobytes() == expected.tobytes()

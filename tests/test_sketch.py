@@ -18,6 +18,7 @@ from repro.core.dsl.grammar import Grammar
 from repro.core.initorder import initial_order
 from repro.core.pairs import Pair
 from repro.core.sketch import OnePixelSketch, SketchResult
+from repro.core.stepping import drive_steps
 
 SHAPE = (6, 6, 3)
 FULL_SPACE = 8 * 6 * 6
@@ -44,6 +45,26 @@ class RecordingClassifier:
         return self.inner(image)
 
 
+class BatchRecordingClassifier(RecordingClassifier):
+    """Also answers batches, recording each batch's size."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batch_sizes = []
+
+    def batch(self, images):
+        self.batch_sizes.append(len(images))
+        return np.stack([self(image) for image in images])
+
+
+def pair_key(image, clean):
+    """``(location, written value)`` of a one-pixel-off query image."""
+    delta = np.argwhere(np.abs(image - clean).sum(axis=2) > 0)
+    assert len(delta) == 1, "every query differs in exactly one pixel"
+    location = tuple(delta[0])
+    return location, tuple(image[location])
+
+
 class TestCompleteness:
     def test_false_program_finds_backdoor(self):
         sketch = OnePixelSketch(Program.constant(False))
@@ -59,14 +80,43 @@ class TestCompleteness:
         assert result.pair == Pair(2, 3, 7)
         assert result.queries <= FULL_SPACE
 
-    def test_no_adversarial_example_exhausts_space(self):
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_no_adversarial_example_exhausts_space(self, seed):
+        """Without an adversarial example in the corner space, any program
+        at any speculation window poses and charges every pair once and
+        fails at the full space; no batch is wider than the window."""
         # trigger value is NOT a corner (and not the gray background),
         # so the corner space has no success
-        classifier = backdoor(value=np.array([0.5, 0.3, 0.7]))
-        sketch = OnePixelSketch(Program.constant(False))
-        result = sketch.attack(classifier, gray_image(), true_class=0)
-        assert not result.success
-        assert result.queries == FULL_SPACE
+        inner = backdoor(value=np.array([0.5, 0.3, 0.7]))
+        program = Grammar((6, 6)).random_program(np.random.default_rng(seed))
+        image = gray_image()
+        for window in (0, 1, 8, 32):
+            classifier = BatchRecordingClassifier(inner)
+            charged = []
+
+            def observe(query, scores):
+                if query.counted:
+                    charged.append(pair_key(query.image, image))
+
+            result = drive_steps(
+                OnePixelSketch(program).steps(image, 0, batch_size=window),
+                classifier,
+                observer=observe,
+            )
+            assert not result.success
+            assert result.queries == FULL_SPACE
+            # the first call is the (uncounted) clean probe
+            assert np.array_equal(classifier.queried[0], image)
+            posed = [pair_key(query, image) for query in classifier.queried[1:]]
+            assert len(posed) == len(set(posed)) == FULL_SPACE
+            assert len(charged) == len(set(charged)) == FULL_SPACE
+            assert set(charged) == set(posed)
+            if window == 0:
+                assert classifier.batch_sizes == []
+            else:
+                assert classifier.batch_sizes
+                assert max(classifier.batch_sizes) <= window
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -105,10 +155,7 @@ class TestQueryAccounting:
         assert np.array_equal(classifier.queried[0], gray_image())
         seen = set()
         for image in classifier.queried[1:]:
-            delta = np.argwhere(np.abs(image - gray_image()).sum(axis=2) > 0)
-            assert len(delta) == 1, "every query differs in exactly one pixel"
-            location = tuple(delta[0])
-            key = (location, tuple(image[location]))
+            key = pair_key(image, gray_image())
             assert key not in seen, "pair queried twice"
             seen.add(key)
 
