@@ -2,8 +2,10 @@
 
 Algorithm 2 scores every proposal on the same training pairs.  A
 :class:`~repro.core.synthesis.score.TrainingSet` prepared once per run
-(DESIGN §17) answers repeated queries from an exact cache -- still
-counted -- and reuses each pair's clean scores and initial queue.  This
+(DESIGN §17) answers a pair an earlier candidate posed on the same
+image from that image's table, indexed by pair index -- still counted,
+with no image built -- and reuses each pair's clean scores and initial
+queue.  This
 gate runs one MH chain twice on a trained vgg16bn at 8x8, scalar float64
 forwards: once scored with one prepared set, once with a fresh set per
 candidate (plain pairs, as ``evaluate_program`` prepares them for a
@@ -116,7 +118,7 @@ def test_prepared_set_speeds_up_mh_iterations(results_dir, tmp_path_factory):
         f"{ITERATIONS} MH iterations)",
         f"  counted queries:          {prepared_queries}",
         f"  forward passes (prepared): {forwards} "
-        f"(cache hit rate {hit_rate:.3f})",
+        f"(table hit rate {hit_rate:.3f})",
         f"  fresh set per candidate:  {fresh_s * 1000:7.1f} ms/iteration",
         f"  one prepared set:         {prepared_s * 1000:7.1f} ms/iteration",
         f"  speedup:                  {speedup:.2f}x",

@@ -40,7 +40,7 @@ from repro.core.dsl.ast import Program
 from repro.core.dsl.interpreter import compile_condition
 from repro.core.initorder import initial_queue
 from repro.core.pairqueue import PairQueue
-from repro.core.pairs import Pair, neighbor_table, pair_at, perturb
+from repro.core.pairs import Pair, neighbor_table, pair_at
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,13 @@ class OnePixelSketch:
         on the program's conditions compiled for ``image``
         (:func:`~repro.core.dsl.interpreter.compile_condition`); a
         :class:`~repro.core.pairs.Pair` is built only for the result.
+        Every pair is posed as a keyed query
+        (:meth:`~repro.core.stepping.Query.keyed`), scalar or batched:
+        its perturbed image is built when an executor or the result
+        first reads it, so an executor that answers by pair index (a
+        synthesis :class:`~repro.core.synthesis.score.TrainingSet`)
+        builds none on a hit.  Only the uncounted clean probe carries a
+        built image.
 
         ``queue``, if given, must be ``initial_queue(image)`` in its
         initial state; the attack consumes it in place of building that
@@ -194,8 +201,8 @@ class OnePixelSketch:
         #: because a pair's perturbed image never changes.
         prefetched: Dict[int, tuple] = {}
 
-        def fetch(index: int, perturbed: np.ndarray):
-            """Batched scores for pair ``index`` (subgenerator).
+        def fetch(index: int):
+            """Batched ``(query, scores)`` for pair ``index`` (subgenerator).
 
             Serves from the prefetch map, posing a new speculative batch
             (the demanded pair plus upcoming queue entries) on a miss;
@@ -219,9 +226,9 @@ class OnePixelSketch:
                             break
                         if upcoming not in prefetched:
                             targets.append(upcoming)
-                batch = QueryBatch((Query(perturbed),) + tuple(
-                    Query(perturb(image, target)) for target in targets[1:]
-                ))
+                batch = QueryBatch(
+                    tuple(Query.keyed(image, target) for target in targets)
+                )
                 answers = np.asarray((yield batch), dtype=np.float64)
                 for target, query, row in zip(targets, batch.queries, answers):
                     prefetched[target] = (query, row, batch)
@@ -229,24 +236,27 @@ class OnePixelSketch:
             query, row, origin = entry
             counter.charge()
             origin.note(query, row)
-            return row
+            return query, row
 
         def check(index: int):
-            """Query one pair (subgenerator); returns (scores, result)."""
-            perturbed = perturb(image, index)
+            """Query one pair (subgenerator); returns (scores, result).
+
+            Both paths pose the pair as a keyed query, whose image is
+            built only when an executor (or the result) reads it.
+            """
             if window <= 0:
-                scores = np.asarray(
-                    (yield counter.submit(perturbed)), dtype=np.float64
-                )
+                counter.charge()
+                query = Query.keyed(image, index)
+                scores = np.asarray((yield query), dtype=np.float64)
             else:
-                scores = yield from fetch(index, perturbed)
+                query, scores = yield from fetch(index)
             winner = int(scores.argmax())
             if is_success(winner):
                 return scores, SketchResult(
                     success=True,
                     queries=counter.count,
                     pair=pair_at(index, shape),
-                    adversarial_image=perturbed,
+                    adversarial_image=query.image,
                     adversarial_class=winner,
                 )
             return scores, None

@@ -4,8 +4,8 @@ An attack exposed as a *generator* decouples its search logic from how
 classifier queries are executed.  The protocol is small:
 
 - the generator **yields** :class:`Query` objects (the perturbed image to
-  score, plus whether the submission counts against the paper's query
-  accounting);
+  score, or the clean image and a pair index that build it, plus whether
+  the submission counts against the paper's query accounting);
 - the caller **sends** back the classifier's score vector;
 - the generator **returns** the final result (``StopIteration.value``).
 
@@ -42,11 +42,11 @@ from repro.classifier.blackbox import (
     _validated_budget,
     batch_scores,
 )
+from repro.core.pairs import perturb
 
 Classifier = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
 class Query:
     """One classifier submission requested by a steppable attack.
 
@@ -54,10 +54,45 @@ class Query:
     not charge to the attacker -- e.g. the sketch scoring the clean image
     it was handed.  Executors must answer every query either way; the
     flag only drives accounting (session query counts, budgets).
+
+    A *keyed* query (:meth:`keyed`) carries a pair index ``key`` and the
+    ``clean`` image in place of a built image: :attr:`image` is
+    :func:`~repro.core.pairs.perturb` of the two, built on its first
+    read and kept, so every read returns the same array and its bits
+    are those of ``Pair.apply``.  An executor that answers by
+    ``(clean image, key)`` -- a synthesis
+    :class:`~repro.core.synthesis.score.TrainingSet`, from its per-image
+    tables -- builds the image only to score a pair it has not seen;
+    every other executor reads :attr:`image` as before.  The sketch
+    poses every pair this way; ``key`` is ``None`` for a query built
+    from an image.
     """
 
-    image: np.ndarray
-    counted: bool = True
+    __slots__ = ("counted", "key", "clean", "_image")
+
+    def __init__(self, image: np.ndarray, counted: bool = True):
+        self._image = image
+        self.counted = counted
+        self.key: Optional[int] = None
+        self.clean: Optional[np.ndarray] = None
+
+    @classmethod
+    def keyed(cls, clean: np.ndarray, key: int) -> "Query":
+        """The counted query for pair ``key`` of ``clean``."""
+        query = cls.__new__(cls)
+        query._image = None
+        query.counted = True
+        query.key = key
+        query.clean = clean
+        return query
+
+    @property
+    def image(self) -> np.ndarray:
+        """The image to score (a keyed query builds it on first read)."""
+        image = self._image
+        if image is None:
+            image = self._image = perturb(self.clean, self.key)
+        return image
 
 
 #: Observer signature shared by drivers and batches: called as
@@ -177,26 +212,44 @@ class StepCounter:
         return max(self.budget - self.count, 0)
 
 
-def drive_steps(steps: AttackSteps, classifier: Classifier, observer=None):
+def drive_steps(
+    steps: AttackSteps,
+    classifier: Classifier,
+    observer=None,
+    answer: Optional[Callable[[Query], np.ndarray]] = None,
+):
     """Run a steppable attack to completion against a plain classifier.
 
     This is the synchronous driver behind
     :meth:`~repro.attacks.base.OnePixelAttack.attack`: every yielded
-    query is answered immediately by ``classifier``.
+    query is answered immediately, by ``answer(query)``, which defaults
+    to ``classifier(query.image)``.  A caller that can answer a keyed
+    query (:meth:`Query.keyed`) without its image passes its own
+    ``answer``; a synthesis
+    :class:`~repro.core.synthesis.score.TrainingSet` answers from its
+    per-image tables indexed by pair index, so a table hit builds no
+    image.  Answers must be what ``classifier(query.image)`` returns.
 
     ``observer``, if given, is called as ``observer(query, scores)``
-    after each submission is answered and before the generator resumes.
-    This is the trace hook :class:`repro.testkit.trace.TraceRecorder`
-    uses to capture golden query traces; observers must not mutate
-    either argument.
+    after each submission is answered and before the generator resumes,
+    so it sees every counted query, whoever answered it.  This is the
+    trace hook :class:`repro.testkit.trace.TraceRecorder` uses to
+    capture golden query traces; observers must not mutate either
+    argument (reading ``query.image`` builds a keyed query's image).
 
     A yielded :class:`QueryBatch` is answered by one
-    :func:`~repro.classifier.blackbox.batch_scores` call.  The observer
+    :func:`~repro.classifier.blackbox.batch_scores` call on
+    ``classifier``.  The observer
     is installed on the batch *before* the answers are sent, and the
     generator notifies it per member as each answer is consumed -- so
     the observed stream stays in exact scalar order even though the
     forward passes were vectorized.
     """
+    if answer is None:
+
+        def answer(query: Query) -> np.ndarray:
+            return classifier(query.image)
+
     try:
         request = next(steps)
         while True:
@@ -208,7 +261,7 @@ def drive_steps(steps: AttackSteps, classifier: Classifier, observer=None):
                 )
                 request = steps.send(answers)
                 continue
-            scores = classifier(request.image)
+            scores = answer(request)
             if observer is not None:
                 observer(request, scores)
             request = steps.send(scores)

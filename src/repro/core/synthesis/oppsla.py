@@ -74,12 +74,13 @@ class SynthesisResult:
     ``best_program``.
 
     ``forwards`` is the number of forward passes this run executed,
-    beside :attr:`total_queries` (the counted queries, which cache hits
+    beside :attr:`total_queries` (the counted queries, which table hits
     are too); ``cache_hit_rate`` is the share of the images the run
-    scored that a cache answered without a forward: its
-    :class:`~repro.core.synthesis.score.TrainingSet`'s, or the
-    classifier's own (a zoo classifier's keeps what earlier runs
-    scored, so a repeated run can report 0 forwards).  Both cover only
+    scored that no forward answered: a hit of its
+    :class:`~repro.core.synthesis.score.TrainingSet`'s per-image tables,
+    indexed by pair index, or of the classifier's own cache (a zoo
+    classifier's keeps what earlier runs scored, so a repeated run can
+    report 0 forwards).  Both cover only
     the iterations run by this call (a resumed chain restores its
     queries, not its forwards) and are ``None`` when an executor scored
     the candidates in worker processes.
@@ -166,7 +167,7 @@ class Oppsla:
         share one shape (the grammar is typed by it).  They are prepared
         once into a :class:`~repro.core.synthesis.score.TrainingSet` that
         scores every candidate; pass a set already prepared for
-        ``classifier`` to share its cache across runs.
+        ``classifier`` to share its tables across runs.
 
         ``executor`` (a :class:`~repro.runtime.pool.WorkerPool`)
         parallelizes each candidate's per-image evaluation across worker

@@ -103,26 +103,34 @@ class TrainingSet:
     candidate's evaluation needs that does not depend on the program is
     built once per run and shared:
 
-    - an exact :class:`~repro.runtime.cache.QueryCache` in front of the
-      classifier.  It sits behind the sketch's counting boundary
+    - one table per training image, indexed by pair index
+      (:mod:`repro.core.pairs`): ``tables[i][key]`` holds the scores of
+      image ``i`` with pair ``key`` applied, or ``None`` until a
+      candidate first poses that pair.  The sketch poses every pair as a
+      keyed query (:meth:`~repro.core.stepping.Query.keyed`), and the
+      set answers it from the table: a hit hashes nothing and builds no
+      image, a miss builds the image and calls the classifier once.  The
+      tables sit behind the sketch's counting boundary
       (:class:`~repro.core.stepping.StepCounter` charges every query the
       sketch poses), so a hit is still a counted query and only the
-      forward pass goes away.  Every image synthesis scores is a
-      training image or one of its ``8 * d1 * d2`` perturbations, so
-      the cache is sized to hold them all and never evicts: the
-      classifier sees each distinct image once per set, which a zoo
-      classifier's own bounded cache cannot promise (DESIGN §17);
-    - each pair's clean scores, which the sketch would otherwise ask for
-      (uncounted) on every evaluation;
+      forward pass goes away.  A table holds at most ``8 * d1 * d2``
+      rows and never forgets one, so the classifier sees each pair of
+      each image once per set, which a zoo classifier's own bounded
+      cache cannot promise (DESIGN §17);
+    - each pair's clean scores, scored once per image, which the sketch
+      would otherwise ask for (uncounted) on every evaluation;
     - each pair's initial :class:`~repro.core.pairqueue.PairQueue` of
       pair indices, of which every evaluation consumes a
       :meth:`~PairQueue.copy` (two list copies).
 
-    Clean scores and queues are built on the first in-process
-    evaluation, so a run that scores candidates in worker processes
-    never pays for them.  The classifier must be deterministic, as for
-    :class:`~repro.runtime.cache.CachedClassifier`: every evaluation is
-    then bit-identical to running the sketch from scratch.
+    ``hits`` counts the keyed queries a table answered; ``misses`` the
+    images the set sent to its classifier: each table miss and each
+    clean image.  Clean scores and queues are built on the first
+    in-process evaluation, so a run that scores candidates in worker
+    processes never pays for them.  The classifier must be
+    deterministic, as for :class:`~repro.runtime.cache.CachedClassifier`:
+    every evaluation is then bit-identical to running the sketch from
+    scratch.
     """
 
     def __init__(
@@ -130,10 +138,6 @@ class TrainingSet:
         classifier: Callable[[np.ndarray], np.ndarray],
         training_pairs: Sequence[TrainingPair],
     ):
-        # Imported here: the runtime package imports the attacks, which
-        # import the synthesizers, which import this module.
-        from repro.runtime.cache import CachedClassifier, QueryCache
-
         pairs = tuple(training_pairs)
         if not pairs:
             raise ValueError("training set must be non-empty")
@@ -144,8 +148,11 @@ class TrainingSet:
         self.classifier = classifier
         self.pairs = pairs
         self.shape = shape
-        self.cache = QueryCache(len(pairs) * (pair_count(shape) + 1))
-        self._cached = CachedClassifier(classifier, self.cache)
+        self.tables: List[List[Optional[np.ndarray]]] = [
+            [None] * pair_count(shape) for _ in pairs
+        ]
+        self.hits = 0
+        self.misses = 0
         self._prepared: Optional[List[Tuple[np.ndarray, PairQueue]]] = None
 
     @functools.cached_property
@@ -166,36 +173,57 @@ class TrainingSet:
     def usage(self) -> Tuple[int, int]:
         """``(images scored, forwards run)`` so far.
 
-        A miss of the set's cache goes to the classifier.  One with an
-        exact cache of its own (``classifier.cache``, as the zoo's
-        classifier has) runs a forward only when that cache misses too,
-        so its misses count the forwards; for any other classifier each
-        miss here is one.
+        The images scored are every keyed query the tables answered, hit
+        or miss, and every clean image.  A miss goes to the classifier.
+        One with an exact cache of its own (``classifier.cache``, as the
+        zoo's classifier has) runs a forward only when that cache misses
+        too, so its misses count the forwards; for any other classifier
+        each miss here is one.
         """
         own = getattr(self.classifier, "cache", None)
-        forwards = self.cache.misses if own is None else own.misses
-        return self.cache.hits + self.cache.misses, forwards
+        forwards = self.misses if own is None else own.misses
+        return self.hits + self.misses, forwards
 
     def usage_since(self, before: Tuple[int, int]) -> Tuple[int, float]:
-        """``(forwards, cache hit rate)`` since :meth:`usage` read
-        ``before``: one run's share of a set that runs may share.  The
-        hit rate is the share of the images scored that a cache, the
-        set's or the classifier's, answered without a forward."""
-        lookups, forwards = self.usage()
-        lookups -= before[0]
+        """``(forwards, hit rate)`` since :meth:`usage` read ``before``:
+        one run's share of a set that runs may share.  The hit rate is
+        the share of the images scored that no forward answered: a table
+        hit, or a miss the classifier's own cache answered."""
+        scored, forwards = self.usage()
+        scored -= before[0]
         forwards -= before[1]
-        return forwards, 1.0 - forwards / lookups if lookups else 0.0
+        return forwards, 1.0 - forwards / scored if scored else 0.0
 
     def _inputs(self) -> List[Tuple[np.ndarray, PairQueue]]:
         if self._prepared is None:
             self._prepared = [
                 (
-                    np.asarray(self._cached(image), dtype=np.float64),
+                    np.asarray(self.classifier(image), dtype=np.float64),
                     initial_queue(image),
                 )
                 for image, _ in self.pairs
             ]
+            self.misses += len(self.pairs)
         return self._prepared
+
+    def _answer(self, table: List[Optional[np.ndarray]]):
+        """The answer function of one image's evaluation: each keyed
+        query's row of ``table``, scored on a miss."""
+        classifier = self.classifier
+
+        def answer(query) -> np.ndarray:
+            key = query.key
+            row = table[key]
+            if row is None:
+                row = np.array(classifier(query.image), dtype=np.float64)
+                row.flags.writeable = False  # shared by every later hit
+                table[key] = row
+                self.misses += 1
+            else:
+                self.hits += 1
+            return row
+
+        return answer
 
     def evaluate(
         self, program: Program, per_image_budget: Optional[int] = None
@@ -211,10 +239,11 @@ class TrainingSet:
                     clean_scores=clean_scores,
                     queue=queue.copy(),
                 ),
-                self._cached,
+                self.classifier,
+                answer=self._answer(table),
             )
-            for (image, true_class), (clean_scores, queue) in zip(
-                self.pairs, self._inputs()
+            for (image, true_class), (clean_scores, queue), table in zip(
+                self.pairs, self._inputs(), self.tables
             )
         ]
         return _aggregate_results(results)

@@ -38,6 +38,7 @@ from repro.core.dsl.parser import parse_program
 from repro.core.instrumentation import SketchStats
 from repro.core.sketch import OnePixelSketch
 from repro.core.stepping import drive_steps
+from repro.core.synthesis.score import TrainingSet
 from repro.runtime.checkpoint import decode_attack_result, encode_attack_result
 from repro.testkit.differential import result_fingerprint
 from repro.testkit.trace import TraceRecorder, load_trace, replay
@@ -148,6 +149,43 @@ def test_sketch_golden_counters(name, batch_size):
         budget=budget, target_class=target_class, batch_size=batch_size,
     )
     assert stats.to_dict() == header["stats"]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in SKETCH_CASES if CASES[name][3] is None]
+)
+def test_sketch_golden_through_a_training_set(name):
+    """Synthesis scores a candidate through a :class:`TrainingSet`.  An
+    untargeted sketch golden evaluated twice in a row through one set
+    holding its image reproduces the recorded result both times, and
+    the second time the set's table answers every query."""
+    _, image, true_class, _, budget = _case(name)
+    recorded = load_trace(_path(name))[0]["result"]
+    calls = []
+
+    def classifier(scored):
+        calls.append(scored)
+        return _classifier()(scored)
+
+    training_set = TrainingSet(classifier, [(image, true_class)])
+    program = PROGRAMS[CASES[name][1]]
+    for run in range(2):
+        hits, misses = training_set.hits, training_set.misses
+        result = training_set.evaluate(program, budget).results[0]
+        pair = result.pair
+        assert {
+            "success": result.success,
+            "queries": result.queries,
+            "location": None if pair is None else list(pair.location),
+            "perturbation": None if pair is None else pair.perturbation.tolist(),
+            "adversarial_class": result.adversarial_class,
+        } == {key: recorded[key] for key in (
+            "success", "queries", "location", "perturbation", "adversarial_class",
+        )}, run
+        if run == 1:
+            assert training_set.hits - hits == recorded["queries"]
+            assert training_set.misses == misses
+    assert len(calls) == training_set.misses == 1 + recorded["queries"]
 
 
 def test_sketch_goldens_fire_every_condition():

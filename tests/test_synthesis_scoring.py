@@ -1,13 +1,14 @@
 """Differential tests for exact candidate scoring (DESIGN §17).
 
-A :class:`TrainingSet` shares a query cache, clean scores and initial
-queues across every candidate of a synthesis run.  The oracle here is
-the plain reference: each pair attacked from scratch with
-``OnePixelSketch(program).attack`` and the results aggregated by hand.
-Every candidate's evaluation must equal it field for field, adversarial
-image bytes included, and an MH chain must accept the same programs and
-pay the same queries.  The negative control shows the comparison has
-teeth: a cache that answers hits with another image's scores fails it.
+A :class:`TrainingSet` shares per-image tables of scores indexed by
+pair index, clean scores and initial queues across every candidate of a
+synthesis run.  The oracle here is the plain reference: each pair
+attacked from scratch with ``OnePixelSketch(program).attack`` and the
+results aggregated by hand.  Every candidate's evaluation must equal it
+field for field, adversarial image bytes included, and an MH chain must
+accept the same programs and pay the same queries.  The negative control
+shows the comparison has teeth: a table that answers hits with another
+pair's row fails it.
 """
 
 import math
@@ -124,23 +125,22 @@ def _key(evaluation):
     )
 
 
-def _answer_hits_with_another_images_scores(cache):
-    """Make ``cache`` lie: a hit returns the scores stored just before
-    the requested entry (a different image's)."""
-    honest_get, honest_put = cache.get, cache.put
-    order = []
+class _LyingTable(list):
+    """A table that answers a hit with another pair's row: the first
+    row stored for any other pair, when there is one."""
 
-    def put(key, scores):
-        order.append(key)
-        honest_put(key, scores)
-
-    def get(key):
-        if honest_get(key) is None:
+    def __getitem__(self, key):
+        row = list.__getitem__(self, key)
+        if row is None:
             return None
-        position = order.index(key)
-        return honest_get(order[position - 1 if position else 1])
+        for other, stored in enumerate(self):
+            if stored is not None and other != key:
+                return stored
+        return row
 
-    cache.get, cache.put = get, put
+
+def _scored_rows(training_set):
+    return sum(row is not None for table in training_set.tables for row in table)
 
 
 @pytest.fixture(params=["smooth", "network"])
@@ -162,8 +162,9 @@ def test_every_candidate_matches_the_reference(kind, seed):
             )
             successes += prepared.successes
     assert successes > 0
-    assert training_set.cache.hits > 0  # candidates shared queries
-    assert training_set.cache.evictions == 0
+    assert training_set.hits > 0  # candidates shared queries
+    # every miss filled a new row: no pair of an image was scored twice
+    assert training_set.misses == len(pairs) + _scored_rows(training_set)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -197,19 +198,19 @@ def test_chain_matches_the_reference_chain(kind, seed):
     assert 0.0 < result.cache_hit_rate < 1.0
 
 
-def test_lying_cache_fails_the_comparison():
-    """Negative control: the same sweep with a cache that answers hits
-    with another image's scores must diverge from the reference."""
+def test_lying_table_fails_the_comparison():
+    """Negative control: the same sweep with tables that answer hits
+    with another pair's row must diverge from the reference."""
     classifier, shape = _classifier("smooth", 1)
     pairs = _pairs(classifier, shape, 1)
     lying = TrainingSet(classifier, pairs)
-    _answer_hits_with_another_images_scores(lying.cache)
+    lying.tables = [_LyingTable(table) for table in lying.tables]
     diverged = [
         _key(lying.evaluate(program, BUDGET))
         != _key(_reference(program, classifier, pairs, BUDGET))
         for program in _candidates(shape, 1)
     ]
-    assert lying.cache.hits > 0
+    assert lying.hits > 0
     assert any(diverged)
 
 
